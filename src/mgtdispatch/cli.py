@@ -39,7 +39,7 @@ from .solvers import (
     solve_mixed_multiplicative,
     solve_nominal,
 )
-from .tariff import check_convexity, convexify, load_tariff
+from .tariff import check_convexity, check_monotone, convexify, load_tariff
 
 INF = float("inf")
 
@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--eps", type=float, help="additive grid spacing (mixed-add)")
     ps.add_argument("--grid-n", type=int, help="number of grid budgets (mixed-add)")
     ps.add_argument("--mu", type=float, help="geometric grid ratio - 1 (mixed-mul)")
-    ps.add_argument("--no-dedup", action="store_true", help="sweep duplicate spike thresholds too")
     ps.add_argument("--convexify", action="store_true", help="replace the tariff by its convex envelope")
     ps.add_argument("--initial-state", default="any")
     ps.add_argument("--final-state", default="any")
@@ -111,16 +110,14 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_tariff(args) -> object:
-    tariff = load_tariff(args.tariff)
-    if getattr(args, "convexify", False):
-        tariff = convexify(tariff)
-    return tariff
+def _load_tariff(path: str, envelope: bool):
+    tariff = load_tariff(path)
+    return convexify(tariff) if envelope else tariff
 
 
 def _cmd_solve(args) -> int:
     model = load_model(args.model)
-    tariff = _load_tariff(args)
+    tariff = _load_tariff(args.tariff, args.convexify)
 
     needs_history = args.algo != "nominal"
     if needs_history and not args.history:
@@ -151,7 +148,7 @@ def _cmd_solve(args) -> int:
     elif args.algo == "box":
         solution = solve_box(graph, uset, tariff)
     elif args.algo == "mixed-exact":
-        solution = solve_mixed_exact(graph, uset, tariff, dedup=not args.no_dedup)
+        solution = solve_mixed_exact(graph, uset, tariff)
     elif args.algo == "mixed-add":
         if (args.eps is None) == (args.grid_n is None):
             print("mixed-add needs exactly one of --eps or --grid-n", file=sys.stderr)
@@ -240,9 +237,7 @@ def _cmd_compare(args) -> int:
         alpha2 = args.alpha2 if args.alpha2 is not None else manifest.get("alpha2", 40.0)
         for season in seasons:
             sdir = os.path.join(args.pack, season)
-            tariff = load_tariff(os.path.join(sdir, "tariff.json"))
-            if args.convexify:
-                tariff = convexify(tariff)
+            tariff = _load_tariff(os.path.join(sdir, "tariff.json"), args.convexify)
             cases.append(
                 compare_day(
                     model, tariff,
@@ -261,14 +256,8 @@ def _cmd_compare(args) -> int:
                   f"(missing: {', '.join('--' + m for m in missing)})", file=sys.stderr)
             return 1
         model = load_model(args.model)
-        tariff = _load_tariff(args)
-        kw = {}
-        if args.alpha is not None:
-            kw["alpha"] = args.alpha
-        if args.alpha1 is not None:
-            kw["alpha1"] = args.alpha1
-        if args.alpha2 is not None:
-            kw["alpha2"] = args.alpha2
+        tariff = _load_tariff(args.tariff, args.convexify)
+        kw = {k: getattr(args, k) for k in ("alpha", "alpha1", "alpha2") if getattr(args, k) is not None}
         cases.append(
             compare_day(
                 model, tariff,
@@ -329,11 +318,14 @@ def _cmd_validate(args) -> int:
 
     if args.tariff:
         tariff = load_tariff(args.tariff)
-        notes = check_convexity(tariff)
+        notes, falls = check_convexity(tariff), check_monotone(tariff)
+        if falls:
+            print(f"tariff: ok, but cost falls as demand rises ({len(falls)} step(s), first {falls[0]}); "
+                  "box and mixed solvers will refuse it")
         if notes:
             print(f"tariff: ok, but non-convex ({len(notes)} step(s)); "
                   "mixed solvers will refuse it without --convexify")
-        else:
+        if not (falls or notes):
             print(f"tariff: ok ({tariff.horizon_steps} steps, convex)")
 
     if args.demand:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .demand import DemandProfile, MixedSet, bias_profile
 from .model import TurbineModel, validate_model
-from .tariff import Tariff, is_convex
+from .tariff import Tariff, is_convex, require_monotone
 
 INF = float("inf")
 
@@ -53,8 +53,6 @@ class DispatchGraph:
     power: np.ndarray
     heat: np.ndarray
     op_cost: np.ndarray
-    reach_fwd: np.ndarray
-    reach_bwd: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -103,6 +101,41 @@ class DispatchGraph:
         tails_sorted = self.tail[order]
         starts = np.nonzero(np.r_[True, tails_sorted[1:] != tails_sorted[:-1]])[0]
         return order, starts, tails_sorted[starts], tails_sorted
+
+    @cached_property
+    def successors(self) -> list[list[tuple[int, int, int]]]:
+        """Per tail state, (duration, head, template) triples in the walk's tie-break order."""
+        return [sorted(zip(self.dur[r].tolist(), self.head[r].tolist(), r.tolist()))
+                for r in self.templates_by_tail]
+
+    @cached_property
+    def reach_fwd(self) -> np.ndarray:
+        """(horizon, states) mask of the nodes some path from s can reach."""
+        last = self.horizon - 1
+        fwd = np.zeros((self.horizon, self.n_states), dtype=bool)
+        fwd[0] = self.initial_mask
+        for t in range(last):
+            row = fwd[t]
+            if not row.any():
+                continue
+            for d, rows in self.duration_groups:
+                if t + d > last:
+                    continue
+                np.logical_or.at(fwd[t + d], self.head[rows], row[self.tail[rows]])
+        return fwd
+
+    @cached_property
+    def reach_bwd(self) -> np.ndarray:
+        """(horizon, states) mask of the nodes from which q can be reached."""
+        last = self.horizon - 1
+        bwd = np.zeros((self.horizon, self.n_states), dtype=bool)
+        bwd[last] = self.final_mask
+        for t in range(last - 1, -1, -1):
+            for d, rows in self.duration_groups:
+                if t + d > last:
+                    continue
+                np.logical_or.at(bwd[t], self.tail[rows], bwd[t + d][self.head[rows]])
+        return bwd
 
     def template_exists_at(self, k: int, t: int) -> bool:
         return 0 <= t and t + int(self.dur[k]) <= self.horizon - 1
@@ -157,8 +190,8 @@ def build_graph(model: TurbineModel, horizon: int, initial="any", final="any") -
     """Compile the time-expanded graph for a model over `horizon` layers.
 
     initial/final are "any", a state name, or an iterable of state names.
-    Unreachable nodes are kept; reach_fwd/reach_bwd flag what a path can
-    actually touch.
+    Only the per-template arrays are built here. Nodes no path can touch
+    are kept; the lazy reach_fwd/reach_bwd masks flag them on demand.
     """
     problems = validate_model(model)
     if problems:
@@ -176,30 +209,6 @@ def build_graph(model: TurbineModel, horizon: int, initial="any", final="any") -
     power = np.fromiter((tr.power_kw for tr in model.transitions), dtype=np.float64, count=k)
     heat = np.fromiter((tr.heat_kw for tr in model.transitions), dtype=np.float64, count=k)
     op_cost = np.fromiter((tr.op_cost for tr in model.transitions), dtype=np.float64, count=k)
-
-    n_states = len(model.states)
-    last = horizon - 1
-    groups = [(int(d), np.nonzero(dur == d)[0]) for d in np.unique(dur)]
-
-    fwd = np.zeros((horizon, n_states), dtype=bool)
-    fwd[0] = initial_mask
-    for t in range(last):
-        row = fwd[t]
-        if not row.any():
-            continue
-        for d, rows in groups:
-            if t + d > last:
-                continue
-            np.logical_or.at(fwd[t + d], head[rows], row[tail[rows]])
-
-    bwd = np.zeros((horizon, n_states), dtype=bool)
-    bwd[last] = final_mask
-    for t in range(last - 1, -1, -1):
-        for d, rows in groups:
-            if t + d > last:
-                continue
-            np.logical_or.at(bwd[t], tail[rows], bwd[t + d][head[rows]])
-
     return DispatchGraph(
         model=model,
         horizon=horizon,
@@ -211,8 +220,6 @@ def build_graph(model: TurbineModel, horizon: int, initial="any", final="any") -
         power=power,
         heat=heat,
         op_cost=op_cost,
-        reach_fwd=fwd,
-        reach_bwd=bwd,
     )
 
 
@@ -301,8 +308,7 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
     """Vectorized bias/spike decomposition for every edge under a mixed set."""
     if not isinstance(mset, MixedSet):
         raise TypeError(f"bias_spike_costs needs a MixedSet, got {type(mset).__name__}")
-    if not is_convex(tariff):
-        raise ValueError("mixed-set costs need a convex tariff; run convexify() to opt into the envelope")
+    _check_mixed_tariff(tariff)
     bias = bias_profile(mset)
     w_bias = scenario_weights(graph, bias, tariff)
 
@@ -346,17 +352,6 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
     return EdgeCosts(w_bias=w_bias, w_spike=w_spike)
 
 
-def _edge_arrays_weight(graph: DispatchGraph, e: Edge, p_dem, h_dem, tariff: Tariff) -> float:
-    k, t = e.template, e.time
-    d = int(graph.dur[k])
-    w = float(graph.op_cost[k])
-    for j in range(t, t + d):
-        s = tariff.power_fn(j).value(float(p_dem[j] - graph.power[k]))
-        s = s + tariff.heat_fn(j).value(float(h_dem[j] - graph.heat[k]))
-        w = w + s
-    return w
-
-
 def edge_weight(graph: DispatchGraph, edge: Edge, demand: DemandProfile, tariff: Tariff) -> float:
     """Weight of one edge under a fixed demand; +inf when unusable.
 
@@ -368,7 +363,44 @@ def edge_weight(graph: DispatchGraph, edge: Edge, demand: DemandProfile, tariff:
         raise ValueError(f"edge {edge} does not exist in a {graph.horizon}-layer graph")
     p_dem, h_dem = _demand_steps(graph, demand)
     _check_tariff(graph, tariff)
-    return _edge_arrays_weight(graph, edge, p_dem, h_dem, tariff)
+    k, t = edge.template, edge.time
+    w = float(graph.op_cost[k])
+    for j in range(t, t + int(graph.dur[k])):
+        s = tariff.power_fn(j).value(float(p_dem[j] - graph.power[k]))
+        s = s + tariff.heat_fn(j).value(float(h_dem[j] - graph.heat[k]))
+        w = w + s
+    return w
+
+
+def _check_mixed_tariff(tariff: Tariff) -> None:
+    # the bias/spike decomposition needs convex costs that never fall as demand rises
+    if not is_convex(tariff):
+        raise ValueError("mixed-set costs need a convex tariff; run convexify() to opt into the envelope")
+    require_monotone(tariff)
+
+
+def _spike_gain(graph: DispatchGraph, edge: Edge, bias: DemandProfile, mset: MixedSet,
+                tariff: Tariff) -> tuple[float, int, str]:
+    """(gain, step, commodity) of the worst single spike in an edge's span over the bias corner.
+
+    (0.0, -1, "") when no spike raises the cost; ties keep the earliest step, power first.
+    """
+    k, t = edge.template, edge.time
+    best, step, what = 0.0, -1, ""
+    for j in range(t, t + int(graph.dur[k])):
+        if mset.spike_power[j]:
+            fn = tariff.power_fn(j)
+            x = float(bias.power_kw[j] - graph.power[k])
+            gain = fn.value(x + mset.mu1 / mset.delta_p[j]) - fn.value(x)
+            if gain > best:
+                best, step, what = gain, j, "power"
+        if mset.spike_heat[j]:
+            fn = tariff.heat_fn(j)
+            x = float(bias.heat_kw[j] - graph.heat[k])
+            gain = fn.value(x + mset.mu1 / mset.delta_h[j]) - fn.value(x)
+            if gain > best:
+                best, step, what = gain, j, "heat"
+    return best, step, what
 
 
 def edge_bias_spike(graph: DispatchGraph, edge: Edge, mset: MixedSet, tariff: Tariff) -> tuple[float, float]:
@@ -379,32 +411,10 @@ def edge_bias_spike(graph: DispatchGraph, edge: Edge, mset: MixedSet, tariff: Ta
     enabled spike falls inside the span or when the edge is already
     unusable at the bias corner.
     """
-    if not graph.template_exists_at(edge.template, edge.time):
-        raise ValueError(f"edge {edge} does not exist in a {graph.horizon}-layer graph")
-    if not is_convex(tariff):
-        raise ValueError("mixed-set costs need a convex tariff; run convexify() to opt into the envelope")
+    _check_mixed_tariff(tariff)
     bias = bias_profile(mset)
-    p_dem, h_dem = _demand_steps(graph, bias)
-    _check_tariff(graph, tariff)
-    w_bias = _edge_arrays_weight(graph, edge, p_dem, h_dem, tariff)
-    if w_bias == INF:
-        return INF, 0.0
-    k, t = edge.template, edge.time
-    best = 0.0
-    for j in range(t, t + int(graph.dur[k])):
-        if mset.spike_power[j]:
-            fn = tariff.power_fn(j)
-            x = float(p_dem[j] - graph.power[k])
-            gain = fn.value(x + mset.mu1 / mset.delta_p[j]) - fn.value(x)
-            if gain > best:
-                best = gain
-        if mset.spike_heat[j]:
-            fn = tariff.heat_fn(j)
-            x = float(h_dem[j] - graph.heat[k])
-            gain = fn.value(x + mset.mu1 / mset.delta_h[j]) - fn.value(x)
-            if gain > best:
-                best = gain
-    return w_bias, best
+    w_bias = edge_weight(graph, edge, bias, tariff)
+    return (INF, 0.0) if w_bias == INF else (w_bias, _spike_gain(graph, edge, bias, mset, tariff)[0])
 
 
 def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) -> None:
@@ -417,13 +427,8 @@ def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) 
                 fh.write(f",s,0,{s},,0.0,0.0\n")
         for e in graph.edges():
             (t1, x1), (t2, x2) = graph.tail_node(e), graph.head_node(e)
-            if costs is None:
-                fh.write(f"{t1},{x1},{t2},{x2},{graph.control(e)},,\n")
-            else:
-                fh.write(
-                    f"{t1},{x1},{t2},{x2},{graph.control(e)},"
-                    f"{costs.bias_of(e)!r},{costs.spike_of(e)!r}\n"
-                )
+            w = "," if costs is None else f"{costs.bias_of(e)!r},{costs.spike_of(e)!r}"
+            fh.write(f"{t1},{x1},{t2},{x2},{graph.control(e)},{w}\n")
         for s, m in zip(states, graph.final_mask):
             if m:
                 fh.write(f"{graph.horizon - 1},{s},,q,,0.0,0.0\n")

@@ -57,9 +57,6 @@ class TurbineModel:
     def transitions_from(self, state: str) -> tuple[Transition, ...]:
         return self._by_state[state]
 
-    def controls(self, state: str) -> tuple[str, ...]:
-        return tuple(tr.control for tr in self._by_state[state])
-
     def successors(self, state: str) -> list[tuple[str, str, int]]:
         """List (control, next_state, duration_steps) in declaration order."""
         return [(tr.control, tr.to_state, tr.duration_steps) for tr in self._by_state[state]]

@@ -5,6 +5,8 @@ forward, always stepping to the smallest (head time, head state, template)
 successor whose candidate value reproduces the stored optimum exactly, so
 the returned path is the lexicographically smallest node sequence among the
 optimal ones and its right-fold cost equals the DP value bit for bit.
+Template k has no edge at layer t when t + dur[k] > horizon - 1; both
+solvers read that slot as +inf whatever the weight array holds.
 
 The restricted variant drops every edge whose spike cost exceeds a budget
 alpha and optimizes the pair (sum of bias costs, max spike along the path)
@@ -50,11 +52,20 @@ _INFEASIBLE = PathResult(False, (), (), INF, INF)
 
 
 def _gather_index(graph: DispatchGraph, t: int) -> np.ndarray:
-    # flat index of each template's head node at start time t, clamped so
-    # nonexistent edges (weight +inf) read some valid slot instead of OOB
+    # flat index of each template's head node at start time t; the clamp only
+    # keeps templates that do not exist at t (masked by _drop_absent) in bounds
     s = graph.n_states
     idx = t * s + graph.head_offsets
     return np.minimum(idx, graph.horizon * s - 1)
+
+
+def _drop_absent(graph: DispatchGraph, wcol: np.ndarray, t: int) -> np.ndarray:
+    # +inf for templates with no edge at layer t (head past the last layer),
+    # whatever the caller's slot holds; only the last max(dur) layers have any
+    last = graph.horizon - 1
+    if t + graph.duration_groups[-1][0] <= last:
+        return wcol
+    return np.where(graph.dur > last - t, INF, wcol)
 
 
 def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
@@ -72,12 +83,11 @@ def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
     b[last, graph.final_mask] = 0.0
     b_flat = b.reshape(-1)
     for t in range(last - 1, -1, -1):
-        cand = weights[:, t] + b_flat[_gather_index(graph, t)]
+        cand = _drop_absent(graph, weights[:, t], t) + b_flat[_gather_index(graph, t)]
         b[t, out_states] = np.minimum.reduceat(cand[order], starts)
 
     init = np.nonzero(graph.initial_mask)[0]
-    pick = int(np.argmin(b[0, init]))
-    x = int(init[pick])
+    x = int(init[np.argmin(b[0, init])])
     total = float(b[0, x])
     if total == INF:
         return _INFEASIBLE
@@ -87,20 +97,13 @@ def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
     nodes = [(0, graph.model.states[x])]
     while t < last:
         target = b[t, x]
-        best = None
-        for k in graph.templates_by_tail[x]:
-            d = int(graph.dur[k])
-            if t + d > last:
-                continue
-            head = int(graph.head[k])
-            if weights[k, t] + b[t + d, head] == target:
-                key = (t + d, head, int(k))
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        for d, head, k in graph.successors[x]:
+            if t + d <= last and weights[k, t] + b[t + d, head] == target:
+                break
+        else:
             raise RuntimeError(f"walk lost the optimum at layer {t}, state {x}")
-        t, x, k = best
-        edges.append(Edge(nodes[-1][0], k))
+        edges.append(Edge(t, k))
+        t, x = t + d, head
         nodes.append((t, graph.model.states[x]))
     return PathResult(True, tuple(edges), tuple(nodes), total, 0.0)
 
@@ -129,7 +132,7 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
     ba_flat = b_aux.reshape(-1)
     for t in range(last - 1, -1, -1):
         idx = _gather_index(graph, t)
-        wcol = np.where(ws[:, t] > alpha, INF, wb[:, t])
+        wcol = _drop_absent(graph, np.where(ws[:, t] > alpha, INF, wb[:, t]), t)
         cand_cost = wcol + bc_flat[idx]
         cs = cand_cost[order]
         b_cost[t, out_states] = np.minimum.reduceat(cs, starts)
@@ -138,12 +141,8 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
         on_opt = cs == b_cost[t, tails_sorted]
         b_aux[t, out_states] = np.minimum.reduceat(np.where(on_opt, cand_aux, INF), starts)
 
-    best_start = None
-    for x in np.nonzero(graph.initial_mask)[0]:
-        key = (b_cost[0, x], b_aux[0, x], int(x))
-        if best_start is None or key < best_start:
-            best_start = key
-    total, target_aux, x = best_start
+    init = np.nonzero(graph.initial_mask)[0]
+    total, target_aux, x = min((b_cost[0, x], b_aux[0, x], int(x)) for x in init)
     if total == INF:
         return _INFEASIBLE
 
@@ -153,25 +152,17 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
     nodes = [(0, graph.model.states[x])]
     while t < last:
         target = b_cost[t, x]
-        best = None
-        for k in graph.templates_by_tail[x]:
-            d = int(graph.dur[k])
+        for d, head, k in graph.successors[x]:
             if t + d > last:
                 continue
             spike = ws[k, t]
             w = INF if spike > alpha else wb[k, t]
-            head = int(graph.head[k])
-            if w + b_cost[t + d, head] != target:
-                continue
-            if max(prefix_max, spike, b_aux[t + d, head]) > target_aux:
-                continue
-            key = (t + d, head, int(k))
-            if best is None or key < best:
-                best = key
-        if best is None:
+            if w + b_cost[t + d, head] == target and not max(prefix_max, spike, b_aux[t + d, head]) > target_aux:
+                break
+        else:
             raise RuntimeError(f"walk lost the optimum at layer {t}, state {x}")
-        t, x, k = best
-        prefix_max = max(prefix_max, float(ws[k, nodes[-1][0]]))
-        edges.append(Edge(nodes[-1][0], k))
+        prefix_max = max(prefix_max, float(spike))
+        edges.append(Edge(t, k))
+        t, x = t + d, head
         nodes.append((t, graph.model.states[x]))
     return PathResult(True, tuple(edges), tuple(nodes), float(total), float(target_aux))

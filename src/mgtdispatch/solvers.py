@@ -1,8 +1,9 @@
 """Robust dispatch solvers.
 
 solve_nominal prices one fixed demand. solve_box handles per-step interval
-("box") uncertainty: edge costs never decrease when demand grows, so the
-robust optimum is the plain shortest path at the upper corner.
+("box") uncertainty: edge costs never decrease when demand grows (tariffs
+with a negative slope are refused), so the robust optimum is the plain
+shortest path at the upper corner.
 
 The mixed solvers handle box-plus-budget uncertainty where on top of the
 interval deviation at most one scaled spike can land on a single step and
@@ -29,12 +30,14 @@ from .graph import (
     DispatchGraph,
     Edge,
     EdgeCosts,
+    _check_mixed_tariff,
+    _spike_gain,
     bias_spike_costs,
-    edge_bias_spike,
     edge_weight,
     scenario_weights,
 )
 from .shortest_path import PathResult, shortest_path_dag, shortest_path_restricted
+from .tariff import require_monotone
 
 INF = float("inf")
 
@@ -84,28 +87,15 @@ def _worstcase_parts(graph: DispatchGraph, path: PathResult, uset, tariff) -> tu
     if not isinstance(uset, MixedSet):
         raise TypeError(f"cannot evaluate worst case over {type(uset).__name__}")
 
-    total = 0.0
-    for e in reversed(path.edges):
-        w_bias, _ = edge_bias_spike(graph, e, uset, tariff)
-        total = w_bias + total
+    _check_mixed_tariff(tariff)
+    bias = bias_profile(uset)
+    total = path_cost_at(graph, path, bias, tariff)
     best_spike = 0.0
     label = "bias-only"
-    bias = bias_profile(uset)
     for e in path.edges:
-        k, t = e.template, e.time
-        for j in range(t, t + int(graph.dur[k])):
-            if uset.spike_power[j]:
-                fn = tariff.power_fn(j)
-                x = float(bias.power_kw[j] - graph.power[k])
-                gain = fn.value(x + uset.mu1 / uset.delta_p[j]) - fn.value(x)
-                if gain > best_spike:
-                    best_spike, label = gain, f"power-spike@{j}"
-            if uset.spike_heat[j]:
-                fn = tariff.heat_fn(j)
-                x = float(bias.heat_kw[j] - graph.heat[k])
-                gain = fn.value(x + uset.mu1 / uset.delta_h[j]) - fn.value(x)
-                if gain > best_spike:
-                    best_spike, label = gain, f"heat-spike@{j}"
+        gain, step, what = _spike_gain(graph, e, bias, uset, tariff)
+        if gain > best_spike:
+            best_spike, label = gain, f"{what}-spike@{step}"
     return float(total), float(best_spike), label
 
 
@@ -123,23 +113,23 @@ def path_worstcase_cost(graph: DispatchGraph, path: PathResult, uset, tariff) ->
     return float(total + spike), label
 
 
+def _solve_fixed(graph: DispatchGraph, demand: DemandProfile, tariff, algorithm: str,
+                 scenario: str) -> RobustSolution:
+    path = shortest_path_dag(graph, scenario_weights(graph, demand, tariff))
+    if not path.feasible:
+        return _infeasible(algorithm)
+    return RobustSolution(algorithm, path, path_cost_at(graph, path, demand, tariff), scenario)
+
+
 def solve_nominal(graph: DispatchGraph, demand: DemandProfile, tariff) -> RobustSolution:
     """Min-cost dispatch against one fixed demand profile."""
-    weights = scenario_weights(graph, demand, tariff)
-    path = shortest_path_dag(graph, weights)
-    if not path.feasible:
-        return _infeasible("nominal")
-    return RobustSolution("nominal", path, path_cost_at(graph, path, demand, tariff), "nominal")
+    return _solve_fixed(graph, demand, tariff, "nominal", "nominal")
 
 
 def solve_box(graph: DispatchGraph, bset: BoxSet, tariff) -> RobustSolution:
     """Robust dispatch for interval uncertainty: nominal solve at the corner."""
-    corner = worst_corner(bset)
-    weights = scenario_weights(graph, corner, tariff)
-    path = shortest_path_dag(graph, weights)
-    if not path.feasible:
-        return _infeasible("box")
-    return RobustSolution("box", path, path_cost_at(graph, path, corner, tariff), "box-corner")
+    require_monotone(tariff)
+    return _solve_fixed(graph, worst_corner(bset), tariff, "box", "box-corner")
 
 
 def _sweep_threads() -> int:
@@ -182,16 +172,14 @@ def _finish_mixed(graph, mset, tariff, best, algorithm: str, n_thresh: int) -> R
     return RobustSolution(algorithm, path, cost, scenario, n_thresh, alpha)
 
 
-def solve_mixed_exact(graph: DispatchGraph, mset: MixedSet, tariff, dedup: bool = True) -> RobustSolution:
+def solve_mixed_exact(graph: DispatchGraph, mset: MixedSet, tariff) -> RobustSolution:
     """Exact mixed-set solve: sweep every distinct edge spike cost.
 
     Zero is always swept (the zero-weight terminal hops make it a valid
-    budget). dedup=False keeps the full multiset of spike values, one solve
-    per edge, which only costs time.
+    budget).
     """
     costs = bias_spike_costs(graph, mset, tariff)
-    vals = np.append(costs.finite_spike_values(), 0.0)
-    thresholds = np.unique(vals) if dedup else np.sort(vals)
+    thresholds = np.unique(np.append(costs.finite_spike_values(), 0.0))
     best = _sweep(graph, costs, thresholds)
     return _finish_mixed(graph, mset, tariff, best, "mixed-exact", len(thresholds))
 
@@ -222,10 +210,7 @@ def solve_mixed_additive(
     else:
         if not epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-        if hi == lo:
-            thresholds = np.array([lo])
-        else:
-            thresholds = np.unique(np.append(np.arange(lo, hi, epsilon), hi))
+        thresholds = np.unique(np.append(np.arange(lo, hi, epsilon), hi))
     best = _sweep(graph, costs, thresholds)
     return _finish_mixed(graph, mset, tariff, best, "mixed-additive", len(thresholds))
 

@@ -31,7 +31,8 @@ class PiecewiseLinearCost:
     ascending and start at 0.0; slopes[i] applies on
     [breakpoints[i], breakpoints[i+1]), the last slope extends to +inf.
     value0 is the cost at x = 0; it is 0 for every tariff read from a file
-    and can become negative only through convexify().
+    and can become negative only through convexify(). All numbers must be
+    finite.
     """
 
     neg_slope: float | None
@@ -46,6 +47,8 @@ class PiecewiseLinearCost:
             raise ValueError("breakpoints must start at 0.0")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly ascending")
+        if not all(math.isfinite(v) for v in (*self.slope_sequence(), *self.breakpoints, self.value0)):
+            raise ValueError(f"cost function needs finite numbers, got {self}")
 
     def value(self, x: float) -> float:
         if x < 0.0:
@@ -86,10 +89,6 @@ class PiecewiseLinearCost:
     def is_convex(self) -> bool:
         seq = self.slope_sequence()
         return all(a <= b for a, b in zip(seq, seq[1:]))
-
-
-def forbidden_sell() -> None:
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +178,31 @@ def check_convexity(tariff: Tariff) -> list[str]:
                 if fi in bad:
                     report.append(f"t={t}: {label} cost is non-convex ({bad[fi]})")
     return report
+
+
+def check_monotone(tariff: Tariff) -> list[str]:
+    """Report every step whose cost falls as demand rises (any negative slope).
+
+    The box and mixed solvers take the upper demand corner as the worst
+    case; a flagged step can make that corner cheaper than another.
+    """
+    report: list[str] = []
+    for label, functions, index in (
+        ("power", tariff.power_functions, tariff.power_index),
+        ("heat", tariff.heat_functions, tariff.heat_index),
+    ):
+        low = [min(fn.slope_sequence()) for fn in functions]
+        report += [f"t={t}: {label} cost falls as demand rises (slope {low[fi]})"
+                   for t, fi in enumerate(index.tolist()) if low[fi] < 0.0]
+    return report
+
+
+def require_monotone(tariff: Tariff) -> None:
+    """Raise ValueError when check_monotone flags any step."""
+    falls = check_monotone(tariff)
+    if falls:
+        raise ValueError(f"box and mixed solvers need costs that never fall as demand rises; "
+                         f"{len(falls)} step(s) do, first {falls[0]}")
 
 
 def is_convex(tariff: Tariff) -> bool:

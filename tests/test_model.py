@@ -19,7 +19,6 @@ def test_cooldown_shape(tiny_model):
     assert tiny_model.states == ("x_on", "x_off1", "x_off2", "x_off3+")
     assert len(tiny_model.transitions) == 6
     assert tiny_model.successors("x_off1") == [("keep", "x_off2", 1)]
-    assert tiny_model.controls("x_off3+") == ("keep", "start")
     assert tiny_model.successors("x_on") == [("keep", "x_on", 1), ("shutdown", "x_off1", 1)]
     assert validate_model(tiny_model) == []
 

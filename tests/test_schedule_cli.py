@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,35 @@ def test_cli_validate(tmp_path, capsys):
     (tmp_path / "broken.json").write_text("{not json")
     rc = main(["validate", "--model", str(tmp_path / "broken.json")])
     assert rc == 1
+
+
+PACK = Path(__file__).resolve().parents[1] / "data" / "four_season"
+
+
+def _edited_winter(tmp_path, edit):
+    data = json.loads((PACK / "winter" / "tariff.json").read_text())
+    edit(data["power"])
+    (tmp_path / "tariff.json").write_text(json.dumps(data))
+    return (["--model", str(PACK / "model.json"), "--tariff", str(tmp_path / "tariff.json")],
+            ["--history", str(PACK / "winter" / "history")])
+
+
+def test_cli_nan_price_exits_1(tmp_path, capsys):
+    files, hist = _edited_winter(tmp_path, lambda rows: rows[1].update(buy_per_kwh=float("nan")))
+    assert main(["validate", *files]) == 1
+    assert main(["solve", *files, *hist, "--algo", "box"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_negative_price_is_refused(tmp_path, capsys):
+    def negative(rows):
+        for row in rows:
+            row["buy_per_kwh"] = -5.0
+    files, hist = _edited_winter(tmp_path, negative)
+    assert main(["validate", *files]) == 0
+    assert "cost falls as demand rises" in capsys.readouterr().out
+    assert main(["solve", *files, *hist, "--algo", "box"]) == 1
+    assert "never fall" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_1(tmp_path):

@@ -14,6 +14,7 @@ from mgtdispatch import (
     scenario_weights,
     shortest_path_dag,
     shortest_path_restricted,
+    synth_c65_like,
     weights_from_callable,
 )
 from instances import random_instance
@@ -194,3 +195,23 @@ def test_single_layer_path_is_empty():
 def test_weight_shape_is_checked(tiny_graph):
     with pytest.raises(ValueError, match="shape"):
         shortest_path_dag(tiny_graph, np.zeros((6, 4)))
+
+
+def test_kernels_ignore_weights_of_absent_edges():
+    # a template whose head layer lies past the horizon has no edge; both
+    # kernels must treat it as +inf whatever the caller's array holds there
+    model = synth_c65_like(3, 4)
+    for horizon in (5, 12, 41):
+        g = build_graph(model, horizon)
+        absent = np.arange(horizon)[None, :] + g.dur[:, None] > horizon - 1
+        assert absent.any()
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            w = rng.uniform(0.0, 10.0, absent.shape)
+            spike = rng.uniform(0.0, 4.0, absent.shape)
+            alpha = float(rng.uniform(1.0, 4.0))
+            w_inf = np.where(absent, INF, w)
+            assert shortest_path_dag(g, w) == shortest_path_dag(g, w_inf)
+            got = shortest_path_restricted(g, EdgeCosts(w, spike), alpha)
+            want = shortest_path_restricted(g, EdgeCosts(w_inf, np.where(absent, 0.0, spike)), alpha)
+            assert got == want

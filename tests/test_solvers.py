@@ -60,17 +60,6 @@ def test_frozen_smoke_values(smoke):
     assert ex.path.total == 20.4 and ex.path.aux_max == 2.0
 
 
-def test_dedup_controls_threshold_count(smoke):
-    g, tariff, fc = smoke
-    mset = mixed_set(fc, 1.0, 2.0)
-    multi = solve_mixed_exact(g, mset, tariff, dedup=False)
-    # all 24 in-horizon edges contribute the identical 2.0 spike, plus the
-    # 0 budget; the deduplicated sweep collapses them to {0, 2}
-    assert multi.thresholds_evaluated == 25
-    assert multi.worst_case_cost == 22.4
-    assert solve_mixed_exact(g, mset, tariff).thresholds_evaluated == 2
-
-
 def test_additive_grid_controls(smoke):
     g, tariff, fc = smoke
     mset = mixed_set(fc, 1.0, 2.0)
@@ -190,12 +179,30 @@ def test_infeasible_everywhere_propagates():
 def test_sweep_is_thread_invariant(smoke, monkeypatch):
     g, tariff, fc = smoke
     mset = mixed_set(fc, 1.0, 2.0)
-    serial = solve_mixed_exact(g, mset, tariff, dedup=False)
+    serial = solve_mixed_exact(g, mset, tariff)
+    # the pool only runs when there is more than one budget to sweep
+    assert serial.thresholds_evaluated > 1
     monkeypatch.setenv("DISPATCH_THREADS", "3")
-    threaded = solve_mixed_exact(g, mset, tariff, dedup=False)
+    threaded = solve_mixed_exact(g, mset, tariff)
     assert threaded.worst_case_cost == serial.worst_case_cost
     assert threaded.threshold == serial.threshold
     assert threaded.path.nodes == serial.path.nodes
+
+
+def test_robust_solvers_refuse_falling_costs(smoke):
+    # a negative buy or sell slope moves the worst case off the upper
+    # corner, so the corner reductions would report a wrong worst case
+    g, _, fc = smoke
+    for tariff in (flat_tariff(4, 15.0, -5.0, None, 0.1), flat_tariff(4, 15.0, 0.5, -0.2, 0.1)):
+        assert solve_nominal(g, fc.mean_profile(), tariff).feasible
+        with pytest.raises(ValueError, match="never fall"):
+            solve_box(g, box_set(fc, 1.0), tariff)
+        mset = mixed_set(fc, 1.0, 2.0)
+        for solve in (solve_mixed_exact,
+                      lambda *a: solve_mixed_additive(*a, grid_n=3),
+                      lambda *a: solve_mixed_multiplicative(*a, mu=0.5)):
+            with pytest.raises(ValueError, match="never fall"):
+                solve(g, mset, tariff)
 
 
 def test_enumerate_paths_counts_and_limit(tiny_graph):

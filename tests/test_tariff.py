@@ -19,6 +19,7 @@ from mgtdispatch import (
     tariff_to_dict,
     tou_tariff,
 )
+from mgtdispatch.tariff import check_monotone, require_monotone
 from instances import random_convex_fn
 
 INF = float("inf")
@@ -60,6 +61,32 @@ def test_piecewise_validation():
         PiecewiseLinearCost(None, (0.0, 5.0, 5.0), (0.1, 0.2, 0.3))
     with pytest.raises(ValueError):
         PiecewiseLinearCost(None, (0.0, 5.0), (0.1,))
+    for bad in (math.nan, INF, -INF):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinearCost(None, (0.0,), (bad,))
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinearCost(bad, (0.0,), (0.5,))
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinearCost(None, (0.0,), (0.5,), bad)
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseLinearCost(None, (0.0, INF), (0.1, 0.2))
+    row = {"from_step": 0, "to_step": 2, "buy_per_kwh": math.nan, "sell_per_kwh": 0.1}
+    with pytest.raises(ValueError, match="finite"):
+        tariff_from_dict({"step_seconds": 900.0, "horizon_steps": 2, "power": [row],
+                          "heat": {"buy_per_kwh": 0.07}})
+
+
+def test_monotone_check_flags_negative_slopes():
+    assert check_monotone(flat_tariff(3, 15.0, 0.5, 0.2, 0.1)) == []
+    # forbidden selling is +inf below zero, but no slope is negative
+    assert check_monotone(flat_tariff(3, 15.0, 0.5, None, 0.1)) == []
+    report = check_monotone(flat_tariff(3, 15.0, 0.5, -0.2, 0.1))
+    assert report == [f"t={t}: power cost falls as demand rises (slope -0.2)" for t in range(3)]
+    neg_buy = flat_tariff(3, 15.0, -5.0, None, 0.1)
+    assert is_convex(neg_buy) and len(check_monotone(neg_buy)) == 3
+    with pytest.raises(ValueError, match="never fall"):
+        require_monotone(neg_buy)
+    require_monotone(flat_tariff(3, 15.0, 0.5, 0.0, 0.1))
 
 
 def test_tou_peak_window():

@@ -10,17 +10,19 @@ T - 1 demand steps.
 
 Because every time layer repeats the same transition table, edges are stored
 as (template, start time) pairs: template k is the k-th model transition and
-exists at time t iff t + duration(k) <= horizon - 1. Edge weights for a whole
-scenario are built as a (templates x horizon) array in time-chunked numpy
-passes; the scalar evaluators below follow the exact same operation order so
-both routes produce bit-identical numbers.
+exists at time t iff t + duration(k) <= horizon - 1. A step's utility cost
+depends only on the step and on the template's power and heat output, so a
+scenario is priced once per distinct output level and step, and each edge
+folds its template's rows of those tables over its span into a (templates x
+horizon) array. The scalar evaluators below follow the exact same operation
+order, so both routes produce bit-identical numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .model import TurbineModel, validate_model
 from .tariff import Tariff, is_convex, require_monotone
 
 INF = float("inf")
-
-# column budget for chunked weight passes, ~2M doubles per temporary
-_CHUNK_CELLS = 2_000_000
 
 
 class Edge(NamedTuple):
@@ -80,6 +79,11 @@ class DispatchGraph:
     def duration_groups(self) -> list[tuple[int, np.ndarray]]:
         """Template rows grouped by duration, ascending durations."""
         return [(int(d), np.nonzero(self.dur == d)[0]) for d in np.unique(self.dur)]
+
+    @cached_property
+    def output_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """(distinct outputs, each template's index into them) for power, then heat."""
+        return np.unique(self.power, return_inverse=True), np.unique(self.heat, return_inverse=True)
 
     @cached_property
     def templates_by_tail(self) -> list[np.ndarray]:
@@ -244,6 +248,30 @@ def _check_tariff(graph: DispatchGraph, tariff: Tariff) -> None:
         )
 
 
+def _fold_spans(graph: DispatchGraph, step_values, fold, seed: np.ndarray, absent: float) -> np.ndarray:
+    """(templates, horizon) array of per-step values folded over each edge's span.
+
+    step_values(rows) returns the (len(rows), priced steps) values of those
+    template rows. Entry [k, t] is fold(...fold(seed[k], v[t])..., v[t + d - 1])
+    for a template of duration d, left to right, and `absent` where template
+    k has no edge at t. Rows go in blocks of 4096 so the gathered values of
+    one block stay small (one-step templates at T = 1440 would take ~100 MB).
+    """
+    out = np.full((graph.n_templates, graph.horizon), absent, dtype=np.float64)
+    for d, rows in graph.duration_groups:
+        maxt = graph.horizon - d
+        if maxt <= 0:
+            continue
+        for r0 in range(0, len(rows), 4096):
+            rr = rows[r0:r0 + 4096]
+            step = step_values(rr)
+            acc = fold(seed[rr][:, None], step[:, :maxt])
+            for shift in range(1, d):
+                fold(acc, step[:, shift:shift + maxt], out=acc)
+            out[rr, :maxt] = acc
+    return out
+
+
 def scenario_weights(graph: DispatchGraph, demand: DemandProfile, tariff: Tariff) -> np.ndarray:
     """Edge weights under one fixed demand, as a (templates, horizon) array.
 
@@ -254,30 +282,16 @@ def scenario_weights(graph: DispatchGraph, demand: DemandProfile, tariff: Tariff
     """
     p_dem, h_dem = _demand_steps(graph, demand)
     _check_tariff(graph, tariff)
-    n = graph.n_priced_steps
-    kk = graph.n_templates
-    step_cost = np.empty((kk, n), dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // max(kk, 1))
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
-        xp = p_dem[a:b][None, :] - graph.power[:, None]
-        xh = h_dem[a:b][None, :] - graph.heat[:, None]
-        block = tariff.power_cost_block(xp, a)
-        block += tariff.heat_cost_block(xh, a)
-        step_cost[:, a:b] = block
+    (p_lvl, p_of), (h_lvl, h_of) = graph.output_levels
+    p_cost = tariff.power_cost_block(p_dem[None, :] - p_lvl[:, None], 0)
+    h_cost = tariff.heat_cost_block(h_dem[None, :] - h_lvl[:, None], 0)
 
-    weights = np.full((kk, graph.horizon), INF, dtype=np.float64)
-    for d, rows in graph.duration_groups:
-        maxt = graph.horizon - d
-        if maxt <= 0:
-            continue
-        for r0 in range(0, len(rows), 4096):
-            rr = rows[r0:r0 + 4096]
-            acc = graph.op_cost[rr][:, None] + step_cost[rr, :maxt]
-            for shift in range(1, d):
-                acc += step_cost[rr, shift:shift + maxt]
-            weights[rr, :maxt] = acc
-    return weights
+    def step_cost(rows: np.ndarray) -> np.ndarray:
+        cost = p_cost[p_of[rows]]
+        cost += h_cost[h_of[rows]]
+        return cost
+
+    return _fold_spans(graph, step_cost, np.add, graph.op_cost, INF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,40 +328,27 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
 
     p_dem, h_dem = _demand_steps(graph, bias)
     n = graph.n_priced_steps
-    kk = graph.n_templates
+    (p_lvl, p_of), (h_lvl, h_of) = graph.output_levels
     with np.errstate(divide="ignore", invalid="ignore"):
         spike_p = np.where(mset.spike_power[:n], mset.mu1 / mset.delta_p[:n], 0.0)
         spike_h = np.where(mset.spike_heat[:n], mset.mu1 / mset.delta_h[:n], 0.0)
+        xp = p_dem[None, :] - p_lvl[:, None]
+        p_gain = tariff.power_cost_block(xp + spike_p[None, :], 0)
+        p_gain -= tariff.power_cost_block(xp, 0)
+        p_gain[:, ~mset.spike_power[:n]] = 0.0
+        xh = h_dem[None, :] - h_lvl[:, None]
+        h_gain = tariff.heat_cost_block(xh + spike_h[None, :], 0)
+        h_gain -= tariff.heat_cost_block(xh, 0)
+        h_gain[:, ~mset.spike_heat[:n]] = 0.0
 
-    delta = np.zeros((kk, n), dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // max(kk, 1))
-    for a in range(0, n, chunk):
-        b = min(n, a + chunk)
+    def step_gain(rows: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            xp = p_dem[a:b][None, :] - graph.power[:, None]
-            dp = tariff.power_cost_block(xp + spike_p[a:b][None, :], a)
-            dp -= tariff.power_cost_block(xp, a)
-            dp[:, ~mset.spike_power[a:b]] = 0.0
-            xh = h_dem[a:b][None, :] - graph.heat[:, None]
-            dh = tariff.heat_cost_block(xh + spike_h[a:b][None, :], a)
-            dh -= tariff.heat_cost_block(xh, a)
-            dh[:, ~mset.spike_heat[a:b]] = 0.0
-            block = np.maximum(dp, dh)
+            gain = np.maximum(p_gain[p_of[rows]], h_gain[h_of[rows]])
         # forbidden-sell steps price as inf - inf; those edges are dead anyway
-        block[~np.isfinite(block)] = 0.0
-        delta[:, a:b] = block
+        gain[~np.isfinite(gain)] = 0.0
+        return gain
 
-    w_spike = np.zeros((kk, graph.horizon), dtype=np.float64)
-    for d, rows in graph.duration_groups:
-        maxt = graph.horizon - d
-        if maxt <= 0:
-            continue
-        for r0 in range(0, len(rows), 4096):
-            rr = rows[r0:r0 + 4096]
-            acc = delta[rr, :maxt].copy()
-            for shift in range(1, d):
-                np.maximum(acc, delta[rr, shift:shift + maxt], out=acc)
-            w_spike[rr, :maxt] = acc
+    w_spike = _fold_spans(graph, step_gain, np.maximum, np.zeros(graph.n_templates), 0.0)
     w_spike[~np.isfinite(w_bias)] = 0.0
     return EdgeCosts(w_bias=w_bias, w_spike=w_spike)
 
@@ -433,13 +434,3 @@ def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) 
             if m:
                 fh.write(f"{graph.horizon - 1},{s},,q,,0.0,0.0\n")
 
-
-WeightFn = Callable[[Edge], float]
-
-
-def weights_from_callable(graph: DispatchGraph, weight_of: WeightFn) -> np.ndarray:
-    """Materialize a (templates, horizon) weight array from a per-edge callable."""
-    weights = np.full((graph.n_templates, graph.horizon), INF, dtype=np.float64)
-    for e in graph.edges():
-        weights[e.template, e.time] = weight_of(e)
-    return weights

@@ -3,7 +3,9 @@
 solve_nominal prices one fixed demand. solve_box handles per-step interval
 ("box") uncertainty: edge costs never decrease when demand grows (tariffs
 with a negative slope are refused), so the robust optimum is the plain
-shortest path at the upper corner.
+shortest path at the upper corner. Forbidden selling is the one exception:
+an edge that must export at the lower corner costs +inf there, so it is
+unusable whatever the upper corner charges.
 
 The mixed solvers handle box-plus-budget uncertainty where on top of the
 interval deviation at most one scaled spike can land on a single step and
@@ -19,8 +21,6 @@ guarantees.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +83,10 @@ def _worstcase_parts(graph: DispatchGraph, path: PathResult, uset, tariff) -> tu
     if isinstance(uset, DemandProfile):
         return path_cost_at(graph, path, uset, tariff), 0.0, "fixed"
     if isinstance(uset, BoxSet):
-        return path_cost_at(graph, path, worst_corner(uset), tariff), 0.0, "box-corner"
+        total = path_cost_at(graph, path, worst_corner(uset), tariff)
+        if _sell_forbidden(graph, tariff) and path_cost_at(graph, path, _lower_corner(uset), tariff) == INF:
+            total = INF
+        return total, 0.0, "box-corner"
     if not isinstance(uset, MixedSet):
         raise TypeError(f"cannot evaluate worst case over {type(uset).__name__}")
 
@@ -103,9 +106,10 @@ def path_worstcase_cost(graph: DispatchGraph, path: PathResult, uset, tariff) ->
     """Worst-case cost of a fixed path over an uncertainty set.
 
     Returns (cost, scenario). For a bare DemandProfile the set is that single
-    profile ("fixed"); for a BoxSet the upper corner; for a MixedSet the sum
-    of bias costs plus the largest spike increment, naming the earliest step
-    and commodity that attains it.
+    profile ("fixed"); for a BoxSet the upper corner, or +inf when the path
+    must export at the lower corner on a forbidden-sell step; for a MixedSet
+    the sum of bias costs plus the largest spike increment, naming the
+    earliest step and commodity that attains it.
     """
     if not path.feasible:
         return INF, "infeasible"
@@ -113,9 +117,23 @@ def path_worstcase_cost(graph: DispatchGraph, path: PathResult, uset, tariff) ->
     return float(total + spike), label
 
 
-def _solve_fixed(graph: DispatchGraph, demand: DemandProfile, tariff, algorithm: str,
-                 scenario: str) -> RobustSolution:
-    path = shortest_path_dag(graph, scenario_weights(graph, demand, tariff))
+def _sell_forbidden(graph: DispatchGraph, tariff) -> bool:
+    """True when some priced step prices a negative exchange at +inf (forbidden selling)."""
+    n = graph.n_priced_steps
+    return any(functions[i].neg_slope is None
+               for functions, index in ((tariff.power_functions, tariff.power_index),
+                                        (tariff.heat_functions, tariff.heat_index))
+               for i in np.unique(index[:n]))
+
+
+def _lower_corner(bset: BoxSet) -> DemandProfile:
+    # demand is never negative, so the box stops at zero
+    return DemandProfile(np.maximum(bset.p0 - bset.dp, 0.0), np.maximum(bset.h0 - bset.dh, 0.0))
+
+
+def _solve_fixed(graph: DispatchGraph, weights: np.ndarray, demand: DemandProfile, tariff,
+                 algorithm: str, scenario: str) -> RobustSolution:
+    path = shortest_path_dag(graph, weights)
     if not path.feasible:
         return _infeasible(algorithm)
     return RobustSolution(algorithm, path, path_cost_at(graph, path, demand, tariff), scenario)
@@ -123,42 +141,31 @@ def _solve_fixed(graph: DispatchGraph, demand: DemandProfile, tariff, algorithm:
 
 def solve_nominal(graph: DispatchGraph, demand: DemandProfile, tariff) -> RobustSolution:
     """Min-cost dispatch against one fixed demand profile."""
-    return _solve_fixed(graph, demand, tariff, "nominal", "nominal")
+    return _solve_fixed(graph, scenario_weights(graph, demand, tariff), demand, tariff, "nominal", "nominal")
 
 
 def solve_box(graph: DispatchGraph, bset: BoxSet, tariff) -> RobustSolution:
-    """Robust dispatch for interval uncertainty: nominal solve at the corner."""
+    """Robust dispatch for interval uncertainty: nominal solve at the upper corner.
+
+    When a priced step forbids selling, edges that are +inf at the lower
+    corner are dropped too.
+    """
     require_monotone(tariff)
-    return _solve_fixed(graph, worst_corner(bset), tariff, "box", "box-corner")
-
-
-def _sweep_threads() -> int:
-    raw = os.environ.get("DISPATCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    corner = worst_corner(bset)
+    weights = scenario_weights(graph, corner, tariff)
+    if _sell_forbidden(graph, tariff):
+        weights[scenario_weights(graph, _lower_corner(bset), tariff) == INF] = INF
+    return _solve_fixed(graph, weights, corner, tariff, "box", "box-corner")
 
 
 def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
     """Restricted solve per threshold; best by (score, max spike, alpha)."""
-
-    def run(alpha: float):
-        res = shortest_path_restricted(graph, costs, alpha)
-        return res, res.total + res.aux_max
-
-    threads = _sweep_threads()
-    if threads > 1 and len(thresholds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(run, [float(a) for a in thresholds]))
-    else:
-        solved = [run(float(a)) for a in thresholds]
-
     best = None
-    for alpha, (res, score) in zip(thresholds, solved):
+    for alpha in thresholds:
+        res = shortest_path_restricted(graph, costs, float(alpha))
         if not res.feasible:
             continue
-        key = (score, res.aux_max, float(alpha))
+        key = (res.total + res.aux_max, res.aux_max, float(alpha))
         if best is None or key < best[0]:
             best = (key, res, float(alpha))
     return best

@@ -10,7 +10,9 @@ from mgtdispatch import (
     Edge,
     Forecast,
     PiecewiseLinearCost,
+    SynthConfig,
     Tariff,
+    TouConfig,
     bias_spike_costs,
     build_graph,
     convexify,
@@ -21,6 +23,9 @@ from mgtdispatch import (
     flat_tariff,
     mixed_set,
     scenario_weights,
+    synth_c65_like,
+    synthetic_day,
+    tou_tariff,
 )
 from instances import random_forecast, random_instance
 from reference import ref_count_nodes_edges
@@ -151,29 +156,45 @@ def test_tariff_shape_contract(tiny_graph):
         scenario_weights(tiny_graph, d, flat_tariff(4, 900.0, 0.5, None, 0.1))
 
 
-def test_block_weights_match_scalar_eval():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
+def _random_cases(rng, n: int):
+    """(graph, forecast, tariff) for n random instances, then the small synthetic plant.
+
+    Random models share output levels mostly at 0.0; the synthetic plant's
+    73 templates share 6 power and 24 heat levels, most of them non-zero,
+    and its start and stop spans cover 12 and 24 steps.
+    """
+    for _ in range(n):
         inst = random_instance(rng)
-        g = build_graph(inst["model"], inst["horizon"],
-                        initial=inst["initial"], final=inst["final"])
-        fc = inst["forecast"]
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        yield g, inst["forecast"], inst["tariff"]
+    horizon, step_s = 41, 15.0
+    day = synthetic_day(np.random.default_rng(7), horizon - 1, step_s)
+    fc = Forecast(day.power_kw, day.heat_kw, np.maximum(0.08 * day.power_kw, 0.5),
+                  np.maximum(0.08 * day.heat_kw, 0.5))
+    g = build_graph(synth_c65_like(3, 4, SynthConfig(step_seconds=step_s)), horizon)
+    for sell in (0.05, "forbidden"):
+        yield g, fc, tou_tariff(TouConfig(step_seconds=step_s, horizon_steps=horizon - 1,
+                                          buy_peak_per_kwh=0.30, buy_offpeak_per_kwh=0.12,
+                                          sell_per_kwh=sell, heat_buy_per_kwh=0.0725))
+
+
+def test_block_weights_match_scalar_eval():
+    checked_inf = 0
+    for g, fc, tariff in _random_cases(np.random.default_rng(23), 25):
         d = DemandProfile(fc.mu_power, fc.mu_heat)
-        w = scenario_weights(g, d, inst["tariff"])
+        w = scenario_weights(g, d, tariff)
         for e in g.edges():
-            assert w[e.template, e.time] == edge_weight(g, e, d, inst["tariff"])
+            assert w[e.template, e.time] == edge_weight(g, e, d, tariff)
+            checked_inf += w[e.template, e.time] == INF
+    assert checked_inf > 0
 
 
 def test_bias_spike_block_matches_scalar():
     rng = np.random.default_rng(29)
     checked_inf = 0
-    for _ in range(25):
-        inst = random_instance(rng)
-        g = build_graph(inst["model"], inst["horizon"],
-                        initial=inst["initial"], final=inst["final"])
-        mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 2.0)),
-                         float(rng.uniform(0.0, 3.0)))
-        tariff = convexify(inst["tariff"])
+    for g, fc, tariff in _random_cases(rng, 25):
+        mset = mixed_set(fc, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 3.0)))
+        tariff = convexify(tariff)
         costs = bias_spike_costs(g, mset, tariff)
         for e in g.edges():
             wb, ws = edge_bias_spike(g, e, mset, tariff)

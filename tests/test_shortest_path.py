@@ -10,12 +10,10 @@ from mgtdispatch import (
     TurbineModel,
     build_graph,
     cooldown_example,
-    edge_weight,
     scenario_weights,
     shortest_path_dag,
     shortest_path_restricted,
     synth_c65_like,
-    weights_from_callable,
 )
 from instances import random_instance
 from reference import ref_walks
@@ -50,15 +48,6 @@ def test_infeasible_when_final_unreachable(tiny_tariff, tiny_demand):
     assert not res.feasible
     assert res.total == INF
     assert res.edges == () and res.nodes == ()
-
-
-def test_weights_from_callable_matches_block(tiny_graph, tiny_tariff, tiny_demand):
-    w_block = scenario_weights(tiny_graph, tiny_demand, tiny_tariff)
-    w_call = weights_from_callable(
-        tiny_graph, lambda e: edge_weight(tiny_graph, e, tiny_demand, tiny_tariff))
-    for e in tiny_graph.edges():
-        assert w_call[e.template, e.time] == w_block[e.template, e.time]
-    assert shortest_path_dag(tiny_graph, w_call).total == 16.0
 
 
 def test_total_is_exact_right_fold():

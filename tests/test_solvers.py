@@ -176,17 +176,20 @@ def test_infeasible_everywhere_propagates():
     assert ex.worst_scenario == "infeasible"
 
 
-def test_sweep_is_thread_invariant(smoke, monkeypatch):
-    g, tariff, fc = smoke
-    mset = mixed_set(fc, 1.0, 2.0)
-    serial = solve_mixed_exact(g, mset, tariff)
-    # the pool only runs when there is more than one budget to sweep
-    assert serial.thresholds_evaluated > 1
-    monkeypatch.setenv("DISPATCH_THREADS", "3")
-    threaded = solve_mixed_exact(g, mset, tariff)
-    assert threaded.worst_case_cost == serial.worst_case_cost
-    assert threaded.threshold == serial.threshold
-    assert threaded.path.nodes == serial.path.nodes
+def test_box_prices_forced_export_under_forbidden_selling(smoke):
+    # the lower corner (8 kW) sits below the running turbine's 10 kW, so
+    # staying on must export on a forbidden-sell step: its worst case is
+    # +inf, and the robust plan shuts down, cools down and restarts
+    g, tariff, _ = smoke
+    bset = box_set(Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4), 3.0)
+    box = solve_box(g, bset, tariff)
+    assert box.worst_case_cost == pytest.approx(46.4)
+    assert [g.control(e) for e in box.path.edges] == ["shutdown", "keep", "keep", "start"]
+    assert path_worstcase_cost(g, box.path, bset, tariff) == (box.worst_case_cost, "box-corner")
+    all_on = solve_nominal(g, worst_corner(bset), tariff)
+    assert all_on.worst_case_cost == 28.0
+    assert path_worstcase_cost(g, all_on.path, bset, tariff) == (INF, "box-corner")
+    assert brute_force_oracle(g, bset, tariff).worst_case_cost == box.worst_case_cost
 
 
 def test_robust_solvers_refuse_falling_costs(smoke):

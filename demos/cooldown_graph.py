@@ -26,8 +26,8 @@ graph = build_graph(model, horizon=5)
 print(f"\n{graph.n_nodes} nodes, {graph.n_edges} edges "
       f"({graph.n_priced_steps} priced steps)")
 
-dump_graph(graph, "/tmp/cooldown_edges.txt")
-print("edge dump written to /tmp/cooldown_edges.txt")
+dump_graph(graph, "cooldown_edges.txt")
+print("edge dump written to cooldown_edges.txt in the working directory")
 
 # 0.50/kWh to buy power, selling not allowed, 0.10/kWh for heat
 tariff = flat_tariff(4, model.step_seconds, 0.5, None, 0.1)

@@ -31,17 +31,12 @@ from .demand import (
 from .graph import build_graph
 from .model import load_model, validate_model
 from .packs import load_pack_manifest
-from .schedule import ComparisonReport, build_schedule, compare_day, save_schedule
-from .solvers import (
-    solve_box,
-    solve_mixed_additive,
-    solve_mixed_exact,
-    solve_mixed_multiplicative,
-    solve_nominal,
-)
-from .tariff import check_convexity, check_monotone, convexify, load_tariff
+from .schedule import DEFAULT_WIDTHS, ComparisonReport, build_schedule, compare_day, save_schedule
+from .solvers import _solve_mixed, solve_box, solve_nominal
+from .tariff import check_convexity, check_monotone, load_tariff
 
-INF = float("inf")
+# --algo mixed-<mode> and --mixed <mode> to the sweep modes of _solve_mixed
+MIXED_MODES = {"exact": "exact", "add": "additive", "mul": "multiplicative"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,42 +50,34 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="mgtdispatch", description="Robust dispatch of a discrete-state CHP turbine.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    ps = sub.add_parser("solve", help="solve one dispatch problem")
+    # flags solve and compare share; unset widths fall back to a pack's, then to DEFAULT_WIDTHS
+    robust = argparse.ArgumentParser(add_help=False)
+    robust.add_argument("--history", help="directory of history day CSVs")
+    for flag, what in (("alpha", "box width in sigmas"), ("alpha1", "mixed bias width in sigmas"),
+                       ("alpha2", "mixed spike budget")):
+        robust.add_argument(f"--{flag}", type=float, help=f"{what} (default {DEFAULT_WIDTHS[flag]})")
+    robust.add_argument("--eps", type=float, help="additive grid spacing")
+    robust.add_argument("--grid-n", type=int, help="number of additive grid budgets")
+    robust.add_argument("--mu", type=float, help="multiplicative grid ratio - 1")
+    robust.add_argument("--initial-state", default="any")
+    robust.add_argument("--final-state", default="any")
+
+    ps = sub.add_parser("solve", parents=[robust], help="solve one dispatch problem")
     ps.add_argument("--model", required=True)
     ps.add_argument("--tariff", required=True)
     ps.add_argument("--algo", default="nominal",
-                    choices=["nominal", "box", "mixed-exact", "mixed-add", "mixed-mul"])
+                    choices=["nominal", "box", *(f"mixed-{m}" for m in MIXED_MODES)])
     ps.add_argument("--demand", help="demand CSV (nominal algo)")
-    ps.add_argument("--history", help="directory of history day CSVs (box/mixed algos)")
-    ps.add_argument("--alpha", type=float, default=0.13, help="box width in sigmas")
-    ps.add_argument("--alpha1", type=float, default=0.03, help="mixed bias width in sigmas")
-    ps.add_argument("--alpha2", type=float, default=40.0, help="mixed spike budget")
-    ps.add_argument("--eps", type=float, help="additive grid spacing (mixed-add)")
-    ps.add_argument("--grid-n", type=int, help="number of grid budgets (mixed-add)")
-    ps.add_argument("--mu", type=float, help="geometric grid ratio - 1 (mixed-mul)")
-    ps.add_argument("--convexify", action="store_true", help="replace the tariff by its convex envelope")
-    ps.add_argument("--initial-state", default="any")
-    ps.add_argument("--final-state", default="any")
     ps.add_argument("--out-report")
     ps.add_argument("--out-schedule")
 
-    pc = sub.add_parser("compare", help="compare strategies against realized demand")
+    pc = sub.add_parser("compare", parents=[robust], help="compare strategies against realized demand")
     pc.add_argument("--pack", help="pack directory (four-season layout)")
     pc.add_argument("--season", action="append", help="restrict pack compare to these seasons")
     pc.add_argument("--model")
     pc.add_argument("--tariff")
-    pc.add_argument("--history")
     pc.add_argument("--realized")
-    pc.add_argument("--alpha", type=float)
-    pc.add_argument("--alpha1", type=float)
-    pc.add_argument("--alpha2", type=float)
-    pc.add_argument("--mixed", choices=["exact", "add", "mul", "none"])
-    pc.add_argument("--eps", type=float)
-    pc.add_argument("--grid-n", type=int)
-    pc.add_argument("--mu", type=float)
-    pc.add_argument("--convexify", action="store_true")
-    pc.add_argument("--initial-state", default="any")
-    pc.add_argument("--final-state", default="any")
+    pc.add_argument("--mixed", choices=[*MIXED_MODES, "none"])
     pc.add_argument("--out")
 
     pb = sub.add_parser("bench", help="runtime scaling study")
@@ -110,14 +97,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_tariff(path: str, envelope: bool):
-    tariff = load_tariff(path)
-    return convexify(tariff) if envelope else tariff
+def _widths(args, fallback: dict) -> dict:
+    """alpha, alpha1 and alpha2 from the flags, else from `fallback`, else DEFAULT_WIDTHS."""
+    return {k: getattr(args, k) if getattr(args, k) is not None else fallback.get(k, v)
+            for k, v in DEFAULT_WIDTHS.items()}
 
 
 def _cmd_solve(args) -> int:
     model = load_model(args.model)
-    tariff = _load_tariff(args.tariff, args.convexify)
+    tariff = load_tariff(args.tariff)
 
     needs_history = args.algo != "nominal"
     if needs_history and not args.history:
@@ -135,11 +123,12 @@ def _cmd_solve(args) -> int:
     else:
         forecast = forecast_from_history(load_history(args.history))
         n_steps = len(forecast.mu_power)
+        widths = _widths(args, {})
         if args.algo == "box":
-            uset = box_set(forecast, args.alpha)
+            uset = box_set(forecast, widths["alpha"])
             eval_profile, profile_name = worst_corner(uset), "box-corner"
         else:
-            uset = mixed_set(forecast, args.alpha1, args.alpha2)
+            uset = mixed_set(forecast, widths["alpha1"], widths["alpha2"])
             eval_profile, profile_name = bias_profile(uset), "bias"
 
     graph = build_graph(model, n_steps + 1, initial=args.initial_state, final=args.final_state)
@@ -147,18 +136,9 @@ def _cmd_solve(args) -> int:
         solution = solve_nominal(graph, demand, tariff)
     elif args.algo == "box":
         solution = solve_box(graph, uset, tariff)
-    elif args.algo == "mixed-exact":
-        solution = solve_mixed_exact(graph, uset, tariff)
-    elif args.algo == "mixed-add":
-        if (args.eps is None) == (args.grid_n is None):
-            print("mixed-add needs exactly one of --eps or --grid-n", file=sys.stderr)
-            return 1
-        solution = solve_mixed_additive(graph, uset, tariff, epsilon=args.eps, grid_n=args.grid_n)
     else:
-        if args.mu is None:
-            print("mixed-mul needs --mu", file=sys.stderr)
-            return 1
-        solution = solve_mixed_multiplicative(graph, uset, tariff, args.mu)
+        solution = _solve_mixed(graph, uset, tariff, MIXED_MODES[args.algo.removeprefix("mixed-")],
+                                epsilon=args.eps, grid_n=args.grid_n, mu=args.mu)
     runtime = time.perf_counter() - t0
 
     schedule = None
@@ -198,33 +178,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _mixed_mode(args) -> tuple[str | None, dict]:
-    kw = {}
-    mode = args.mixed
-    if mode is None:
-        if args.mu is not None:
-            mode = "mul"
-        elif args.eps is not None or args.grid_n is not None:
-            mode = "add"
-        else:
-            mode = "exact"
-    if mode == "none":
-        return None, kw
-    if mode == "add":
-        if (args.eps is None) == (args.grid_n is None):
-            raise ValueError("additive mixed compare needs exactly one of --eps or --grid-n")
-        kw = {"epsilon": args.eps, "grid_n": args.grid_n}
-        return "additive", kw
-    if mode == "mul":
-        if args.mu is None:
-            raise ValueError("multiplicative mixed compare needs --mu")
-        return "multiplicative", {"mu": args.mu}
-    return "exact", kw
-
-
 def _cmd_compare(args) -> int:
-    mixed, mixed_kw = _mixed_mode(args)
-    cases = []
+    mode = args.mixed or ("mul" if args.mu is not None
+                          else "add" if args.eps is not None or args.grid_n is not None else "exact")
+    days = []  # (name, tariff, history, realized)
     if args.pack:
         manifest = load_pack_manifest(args.pack)
         model = load_model(os.path.join(args.pack, manifest["model"]))
@@ -232,23 +189,12 @@ def _cmd_compare(args) -> int:
         unknown = set(seasons) - set(manifest["seasons"])
         if unknown:
             raise ValueError(f"pack has no season(s): {', '.join(sorted(unknown))}")
-        alpha = args.alpha if args.alpha is not None else manifest.get("alpha", 0.13)
-        alpha1 = args.alpha1 if args.alpha1 is not None else manifest.get("alpha1", 0.03)
-        alpha2 = args.alpha2 if args.alpha2 is not None else manifest.get("alpha2", 40.0)
+        widths = _widths(args, manifest)
         for season in seasons:
             sdir = os.path.join(args.pack, season)
-            tariff = _load_tariff(os.path.join(sdir, "tariff.json"), args.convexify)
-            cases.append(
-                compare_day(
-                    model, tariff,
-                    load_history(os.path.join(sdir, "history")),
-                    load_demand(os.path.join(sdir, "realized.csv")),
-                    alpha=alpha, alpha1=alpha1, alpha2=alpha2,
-                    mixed=mixed, **mixed_kw,
-                    initial=args.initial_state, final=args.final_state,
-                    name=season,
-                )
-            )
+            days.append((season, load_tariff(os.path.join(sdir, "tariff.json")),
+                         load_history(os.path.join(sdir, "history")),
+                         load_demand(os.path.join(sdir, "realized.csv"))))
     else:
         missing = [f for f in ("model", "tariff", "history", "realized") if getattr(args, f) is None]
         if missing:
@@ -256,19 +202,14 @@ def _cmd_compare(args) -> int:
                   f"(missing: {', '.join('--' + m for m in missing)})", file=sys.stderr)
             return 1
         model = load_model(args.model)
-        tariff = _load_tariff(args.tariff, args.convexify)
-        kw = {k: getattr(args, k) for k in ("alpha", "alpha1", "alpha2") if getattr(args, k) is not None}
-        cases.append(
-            compare_day(
-                model, tariff,
-                load_history(args.history),
-                load_demand(args.realized),
-                mixed=mixed, **mixed_kw, **kw,
-                initial=args.initial_state, final=args.final_state,
-                name=os.path.splitext(os.path.basename(args.realized))[0],
-            )
-        )
+        widths = _widths(args, {})
+        days.append((os.path.splitext(os.path.basename(args.realized))[0], load_tariff(args.tariff),
+                     load_history(args.history), load_demand(args.realized)))
 
+    cases = [compare_day(model, tariff, history, realized, **widths, mixed=MIXED_MODES.get(mode),
+                         epsilon=args.eps, grid_n=args.grid_n, mu=args.mu,
+                         initial=args.initial_state, final=args.final_state, name=name)
+             for name, tariff, history, realized in days]
     report = ComparisonReport(cases=tuple(cases))
     sys.stdout.write(report.render_table())
     if args.out:
@@ -324,7 +265,7 @@ def _cmd_validate(args) -> int:
                   "box and mixed solvers will refuse it")
         if notes:
             print(f"tariff: ok, but non-convex ({len(notes)} step(s)); "
-                  "mixed solvers will refuse it without --convexify")
+                  "mixed solvers will refuse it")
         if not (falls or notes):
             print(f"tariff: ok ({tariff.horizon_steps} steps, convex)")
 

@@ -294,14 +294,41 @@ def scenario_weights(graph: DispatchGraph, demand: DemandProfile, tariff: Tariff
     return _fold_spans(graph, step_cost, np.add, graph.op_cost, INF)
 
 
+def _sell_forbidden(graph: DispatchGraph, tariff: Tariff) -> bool:
+    """True when some priced step prices a negative exchange at +inf (forbidden selling)."""
+    n = graph.n_priced_steps
+    return any(functions[i].neg_slope is None
+               for functions, index in ((tariff.power_functions, tariff.power_index),
+                                        (tariff.heat_functions, tariff.heat_index))
+               for i in np.unique(index[:n]))
+
+
+def _lower_corner(uset) -> DemandProfile:
+    """Lowest demand of a box or mixed set; spikes only add, and demand stops at zero."""
+    return DemandProfile(np.maximum(uset.p0 - uset.dp, 0.0), np.maximum(uset.h0 - uset.dh, 0.0))
+
+
+def _drop_forced_export(graph: DispatchGraph, weights: np.ndarray, uset, tariff: Tariff) -> np.ndarray:
+    """Set +inf on edges that must export at the set's lower corner on a forbidden-sell step.
+
+    Costs never fall as demand rises, so the upper corner prices every
+    other edge's worst case; tariffs that sell everywhere skip the pass.
+    """
+    if _sell_forbidden(graph, tariff):
+        weights[scenario_weights(graph, _lower_corner(uset), tariff) == INF] = INF
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeCosts:
     """Per-edge robust cost pair for a mixed uncertainty set.
 
     w_bias[k, t] is the edge weight at the spikeless bias corner (+inf where
-    the edge does not exist or cannot be used); w_spike[k, t] >= 0 is the
-    worst single-spike increment over the edge's span. Edges with infinite
-    bias get w_spike = 0 and are skipped when threshold grids are built.
+    the edge does not exist or cannot be used, including an edge that must
+    export at the lower corner on a forbidden-sell step); w_spike[k, t] >= 0
+    is the worst single-spike increment over the edge's span. Edges with
+    infinite bias get w_spike = 0 and are skipped when threshold grids are
+    built.
     """
 
     w_bias: np.ndarray
@@ -324,7 +351,7 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
         raise TypeError(f"bias_spike_costs needs a MixedSet, got {type(mset).__name__}")
     _check_mixed_tariff(tariff)
     bias = bias_profile(mset)
-    w_bias = scenario_weights(graph, bias, tariff)
+    w_bias = _drop_forced_export(graph, scenario_weights(graph, bias, tariff), mset, tariff)
 
     p_dem, h_dem = _demand_steps(graph, bias)
     n = graph.n_priced_steps
@@ -409,13 +436,17 @@ def edge_bias_spike(graph: DispatchGraph, edge: Edge, mset: MixedSet, tariff: Ta
 
     w_bias prices the spikeless bias corner; w_spike is the largest cost
     increment any single in-span spike can add on top of it, 0 when no
-    enabled spike falls inside the span or when the edge is already
-    unusable at the bias corner.
+    enabled spike falls inside the span. An edge that is unusable at the
+    bias corner, or that must export at the lower corner on a forbidden-sell
+    step, gives (inf, 0).
     """
     _check_mixed_tariff(tariff)
     bias = bias_profile(mset)
     w_bias = edge_weight(graph, edge, bias, tariff)
-    return (INF, 0.0) if w_bias == INF else (w_bias, _spike_gain(graph, edge, bias, mset, tariff)[0])
+    if w_bias == INF or (_sell_forbidden(graph, tariff)
+                         and edge_weight(graph, edge, _lower_corner(mset), tariff) == INF):
+        return INF, 0.0
+    return w_bias, _spike_gain(graph, edge, bias, mset, tariff)[0]
 
 
 def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) -> None:

@@ -265,6 +265,13 @@ def model_to_dict(model: TurbineModel) -> dict:
     }
 
 
+def _int_field(value, what: str) -> int:
+    """A step count or index read from a file; 2.5, NaN and Infinity are refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def model_from_dict(data: dict) -> TurbineModel:
     try:
         trs = tuple(
@@ -272,7 +279,7 @@ def model_from_dict(data: dict) -> TurbineModel:
                 from_state=str(row["from"]),
                 control=str(row["control"]),
                 to_state=str(row["to"]),
-                duration_steps=int(row["duration_steps"]),
+                duration_steps=_int_field(row["duration_steps"], "duration_steps"),
                 power_kw=float(row["power_kw"]),
                 heat_kw=float(row["heat_kw"]),
                 op_cost=float(row["op_cost"]),

@@ -32,17 +32,12 @@ from .demand import (
 )
 from .graph import DispatchGraph, build_graph
 from .shortest_path import PathResult
-from .solvers import (
-    RobustSolution,
-    path_cost_at,
-    solve_box,
-    solve_mixed_additive,
-    solve_mixed_exact,
-    solve_mixed_multiplicative,
-    solve_nominal,
-)
+from .solvers import RobustSolution, _solve_mixed, path_cost_at, solve_box, solve_nominal
 
 INF = float("inf")
+
+# default uncertainty widths in forecast sigmas: box alpha, mixed bias alpha1, mixed spike budget alpha2
+DEFAULT_WIDTHS = {"alpha": 0.13, "alpha1": 0.03, "alpha2": 40.0}
 
 SCHEDULE_HEADER = ["t", "state", "control", "p_mgt_kw", "h_mgt_kw", "p_util_kw", "h_util_kw", "step_cost"]
 
@@ -232,9 +227,9 @@ def compare_day(
     history: list[DemandProfile],
     realized: DemandProfile,
     *,
-    alpha: float = 0.13,
-    alpha1: float = 0.03,
-    alpha2: float = 40.0,
+    alpha: float = DEFAULT_WIDTHS["alpha"],
+    alpha1: float = DEFAULT_WIDTHS["alpha1"],
+    alpha2: float = DEFAULT_WIDTHS["alpha2"],
     mixed: str | None = "exact",
     epsilon: float | None = None,
     grid_n: int | None = None,
@@ -246,7 +241,8 @@ def compare_day(
     """Solve one day with every strategy and price each against `realized`.
 
     history feeds the forecast (mean and spread); `mixed` picks the budget
-    sweep flavor ("exact", "additive", "multiplicative", or None to skip).
+    sweep flavor ("exact", "additive", "multiplicative", or None to skip),
+    and the sweep's own solver checks epsilon, grid_n or mu.
     """
     forecast = forecast_from_history(history)
     graph = build_graph(model, realized.n_steps + 1, initial=initial, final=final)
@@ -269,16 +265,7 @@ def compare_day(
 
     if mixed is not None:
         mset = mixed_set(forecast, alpha1, alpha2)
-        if mixed == "exact":
-            sol, dt = timed(solve_mixed_exact, graph, mset, tariff)
-        elif mixed == "additive":
-            sol, dt = timed(solve_mixed_additive, graph, mset, tariff, epsilon=epsilon, grid_n=grid_n)
-        elif mixed == "multiplicative":
-            if mu is None:
-                raise ValueError("multiplicative compare needs mu")
-            sol, dt = timed(solve_mixed_multiplicative, graph, mset, tariff, mu)
-        else:
-            raise ValueError(f"unknown mixed mode {mixed!r}")
+        sol, dt = timed(_solve_mixed, graph, mset, tariff, mixed, epsilon=epsilon, grid_n=grid_n, mu=mu)
         entries.append(AlgoResult("mixed", sol, path_cost_at(graph, sol.path, realized, tariff), dt))
 
     return CaseComparison(name=name, entries=_with_reductions(entries))

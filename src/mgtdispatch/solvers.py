@@ -5,7 +5,8 @@ solve_nominal prices one fixed demand. solve_box handles per-step interval
 with a negative slope are refused), so the robust optimum is the plain
 shortest path at the upper corner. Forbidden selling is the one exception:
 an edge that must export at the lower corner costs +inf there, so it is
-unusable whatever the upper corner charges.
+unusable whatever the upper corner charges. The same holds at the lower
+corner of a mixed set's box component, since spikes only add demand.
 
 The mixed solvers handle box-plus-budget uncertainty where on top of the
 interval deviation at most one scaled spike can land on a single step and
@@ -31,6 +32,9 @@ from .graph import (
     Edge,
     EdgeCosts,
     _check_mixed_tariff,
+    _drop_forced_export,
+    _lower_corner,
+    _sell_forbidden,
     _spike_gain,
     bias_spike_costs,
     edge_weight,
@@ -84,21 +88,21 @@ def _worstcase_parts(graph: DispatchGraph, path: PathResult, uset, tariff) -> tu
         return path_cost_at(graph, path, uset, tariff), 0.0, "fixed"
     if isinstance(uset, BoxSet):
         total = path_cost_at(graph, path, worst_corner(uset), tariff)
-        if _sell_forbidden(graph, tariff) and path_cost_at(graph, path, _lower_corner(uset), tariff) == INF:
-            total = INF
-        return total, 0.0, "box-corner"
-    if not isinstance(uset, MixedSet):
+        best_spike, label = 0.0, "box-corner"
+    elif isinstance(uset, MixedSet):
+        _check_mixed_tariff(tariff)
+        bias = bias_profile(uset)
+        total = path_cost_at(graph, path, bias, tariff)
+        best_spike = 0.0
+        label = "bias-only"
+        for e in path.edges:
+            gain, step, what = _spike_gain(graph, e, bias, uset, tariff)
+            if gain > best_spike:
+                best_spike, label = gain, f"{what}-spike@{step}"
+    else:
         raise TypeError(f"cannot evaluate worst case over {type(uset).__name__}")
-
-    _check_mixed_tariff(tariff)
-    bias = bias_profile(uset)
-    total = path_cost_at(graph, path, bias, tariff)
-    best_spike = 0.0
-    label = "bias-only"
-    for e in path.edges:
-        gain, step, what = _spike_gain(graph, e, bias, uset, tariff)
-        if gain > best_spike:
-            best_spike, label = gain, f"{what}-spike@{step}"
+    if _sell_forbidden(graph, tariff) and path_cost_at(graph, path, _lower_corner(uset), tariff) == INF:
+        total = INF
     return float(total), float(best_spike), label
 
 
@@ -106,29 +110,15 @@ def path_worstcase_cost(graph: DispatchGraph, path: PathResult, uset, tariff) ->
     """Worst-case cost of a fixed path over an uncertainty set.
 
     Returns (cost, scenario). For a bare DemandProfile the set is that single
-    profile ("fixed"); for a BoxSet the upper corner, or +inf when the path
-    must export at the lower corner on a forbidden-sell step; for a MixedSet
-    the sum of bias costs plus the largest spike increment, naming the
-    earliest step and commodity that attains it.
+    profile ("fixed"); for a BoxSet the upper corner; for a MixedSet the sum
+    of bias costs plus the largest spike increment, naming the earliest step
+    and commodity that attains it. Over either set the cost is +inf when the
+    path must export at the lower corner on a forbidden-sell step.
     """
     if not path.feasible:
         return INF, "infeasible"
     total, spike, label = _worstcase_parts(graph, path, uset, tariff)
     return float(total + spike), label
-
-
-def _sell_forbidden(graph: DispatchGraph, tariff) -> bool:
-    """True when some priced step prices a negative exchange at +inf (forbidden selling)."""
-    n = graph.n_priced_steps
-    return any(functions[i].neg_slope is None
-               for functions, index in ((tariff.power_functions, tariff.power_index),
-                                        (tariff.heat_functions, tariff.heat_index))
-               for i in np.unique(index[:n]))
-
-
-def _lower_corner(bset: BoxSet) -> DemandProfile:
-    # demand is never negative, so the box stops at zero
-    return DemandProfile(np.maximum(bset.p0 - bset.dp, 0.0), np.maximum(bset.h0 - bset.dh, 0.0))
 
 
 def _solve_fixed(graph: DispatchGraph, weights: np.ndarray, demand: DemandProfile, tariff,
@@ -152,9 +142,7 @@ def solve_box(graph: DispatchGraph, bset: BoxSet, tariff) -> RobustSolution:
     """
     require_monotone(tariff)
     corner = worst_corner(bset)
-    weights = scenario_weights(graph, corner, tariff)
-    if _sell_forbidden(graph, tariff):
-        weights[scenario_weights(graph, _lower_corner(bset), tariff) == INF] = INF
+    weights = _drop_forced_export(graph, scenario_weights(graph, corner, tariff), bset, tariff)
     return _solve_fixed(graph, weights, corner, tariff, "box", "box-corner")
 
 
@@ -205,7 +193,7 @@ def solve_mixed_additive(
     With grid_n it is exactly grid_n evenly spaced budgets instead.
     """
     if (epsilon is None) == (grid_n is None):
-        raise ValueError("pass exactly one of epsilon or grid_n")
+        raise ValueError("the additive sweep needs exactly one of epsilon or grid_n")
     costs = bias_spike_costs(graph, mset, tariff)
     vals = np.append(costs.finite_spike_values(), 0.0)
     lo = float(vals.min())
@@ -229,8 +217,8 @@ def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu:
     always included; the geometric ladder starts at the smallest positive
     spike value and is capped by the largest.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu!r}")
+    if mu is None or not mu > 0:
+        raise ValueError(f"the multiplicative sweep needs mu > 0, got {mu!r}")
     costs = bias_spike_costs(graph, mset, tariff)
     vals = costs.finite_spike_values()
     positive = vals[vals > 0]
@@ -245,6 +233,22 @@ def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu:
         thresholds = np.unique(np.array([0.0] + ladder + [hi]))
     best = _sweep(graph, costs, thresholds)
     return _finish_mixed(graph, mset, tariff, best, "mixed-multiplicative", len(thresholds))
+
+
+def _solve_mixed(graph: DispatchGraph, mset: MixedSet, tariff, mode: str, *,
+                 epsilon: float | None = None, grid_n: int | None = None,
+                 mu: float | None = None) -> RobustSolution:
+    """Mixed-set solve by sweep mode: "exact", "additive" or "multiplicative".
+
+    Each solver checks its own grid parameter; the others are ignored.
+    """
+    if mode == "exact":
+        return solve_mixed_exact(graph, mset, tariff)
+    if mode == "additive":
+        return solve_mixed_additive(graph, mset, tariff, epsilon=epsilon, grid_n=grid_n)
+    if mode == "multiplicative":
+        return solve_mixed_multiplicative(graph, mset, tariff, mu)
+    raise ValueError(f"unknown mixed mode {mode!r}")
 
 
 def enumerate_paths(graph: DispatchGraph, limit: int = 200_000):

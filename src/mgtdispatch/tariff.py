@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _int_field
+
 INF = float("inf")
 
 
@@ -388,12 +390,12 @@ def tariff_to_dict(tariff: Tariff) -> dict:
 def tariff_from_dict(data: dict) -> Tariff:
     try:
         dt = float(data["step_seconds"])
-        horizon = int(data["horizon_steps"])
+        horizon = _int_field(data["horizon_steps"], "horizon_steps")
         per_step = dt / 3600.0
         functions: list[PiecewiseLinearCost] = []
         index = np.full(horizon, -1, dtype=np.int32)
         for row in data["power"]:
-            a, b = int(row["from_step"]), int(row["to_step"])
+            a, b = _int_field(row["from_step"], "from_step"), _int_field(row["to_step"], "to_step")
             if not (0 <= a < b <= horizon):
                 raise ValueError(f"bad step range [{a}, {b})")
             sell = row["sell_per_kwh"]

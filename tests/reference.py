@@ -117,8 +117,20 @@ def ref_mixed_scenarios(mset, n_steps: int):
     return out
 
 
+def ref_lower_corner(uset, n_steps: int):
+    """("lower-corner", power, heat) of a box or mixed set, clamped at zero demand."""
+    p = [max(uset.p0[t] - uset.dp[t], 0.0) for t in range(n_steps)]
+    h = [max(uset.h0[t] - uset.dh[t], 0.0) for t in range(n_steps)]
+    return "lower-corner", p, h
+
+
 def ref_walk_worstcase(model, tariff, walk, uset, n_steps: int) -> tuple[float, str]:
-    """Worst-case walk cost by exhaustive scenario evaluation."""
+    """Worst-case walk cost by exhaustive scenario evaluation.
+
+    Box and mixed sets also price their lower corner, so a walk that must
+    export there on a forbidden-sell step costs +inf; under costs that never
+    fall as demand rises a finite lower corner never beats the upper one.
+    """
     from mgtdispatch.demand import BoxSet, DemandProfile, MixedSet
 
     if isinstance(uset, DemandProfile):
@@ -126,10 +138,12 @@ def ref_walk_worstcase(model, tariff, walk, uset, n_steps: int) -> tuple[float, 
     if isinstance(uset, BoxSet):
         p = [uset.p0[t] + uset.dp[t] for t in range(n_steps)]
         h = [uset.h0[t] + uset.dh[t] for t in range(n_steps)]
-        return ref_walk_cost(model, tariff, walk, p, h), "box-corner"
-    assert isinstance(uset, MixedSet)
-    worst, label = -INF, "bias-only"
-    for name, p, h in ref_mixed_scenarios(uset, n_steps):
+        scenarios = [("box-corner", p, h)]
+    else:
+        assert isinstance(uset, MixedSet)
+        scenarios = ref_mixed_scenarios(uset, n_steps)
+    worst, label = -INF, scenarios[0][0]
+    for name, p, h in scenarios + [ref_lower_corner(uset, n_steps)]:
         c = ref_walk_cost(model, tariff, walk, p, h)
         if c > worst:
             worst, label = c, name

@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# files a demo writes into its working directory
+WRITES = {"cooldown_graph": ["cooldown_edges.txt"]}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -17,3 +19,5 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    for name in WRITES.get(demo.stem, []):
+        assert (tmp_path / name).is_file()

@@ -22,7 +22,10 @@ from mgtdispatch import (
     solve_nominal,
     worst_corner,
 )
+from mgtdispatch.demand import bias_profile
+from mgtdispatch.solvers import _solve_mixed
 from instances import random_instance
+from reference import ref_solve
 
 INF = float("inf")
 
@@ -89,6 +92,26 @@ def test_multiplicative_grid(smoke):
     assert res.worst_case_cost >= 22.4  # never better than exact
     with pytest.raises(ValueError, match="mu"):
         solve_mixed_multiplicative(g, mset, tariff, mu=0.0)
+    with pytest.raises(ValueError, match="mu"):
+        solve_mixed_multiplicative(g, mset, tariff, mu=None)
+
+
+def test_solve_mixed_dispatches_by_mode(smoke):
+    g, tariff, fc = smoke
+    mset = mixed_set(fc, 1.0, 2.0)
+    for mode, direct in (("exact", solve_mixed_exact(g, mset, tariff)),
+                         ("additive", solve_mixed_additive(g, mset, tariff, grid_n=4)),
+                         ("multiplicative", solve_mixed_multiplicative(g, mset, tariff, 0.5))):
+        res = _solve_mixed(g, mset, tariff, mode, epsilon=None, grid_n=4, mu=0.5)
+        assert (res.algorithm, res.worst_case_cost, res.threshold) == \
+            (direct.algorithm, direct.worst_case_cost, direct.threshold)
+        assert res.path.nodes == direct.path.nodes
+    with pytest.raises(ValueError, match="exactly one"):
+        _solve_mixed(g, mset, tariff, "additive")
+    with pytest.raises(ValueError, match="mu"):
+        _solve_mixed(g, mset, tariff, "multiplicative")
+    with pytest.raises(ValueError, match="unknown mixed mode"):
+        _solve_mixed(g, mset, tariff, "add")
 
 
 def test_oracle_agreement_sample():
@@ -190,6 +213,48 @@ def test_box_prices_forced_export_under_forbidden_selling(smoke):
     assert all_on.worst_case_cost == 28.0
     assert path_worstcase_cost(g, all_on.path, bset, tariff) == (INF, "box-corner")
     assert brute_force_oracle(g, bset, tariff).worst_case_cost == box.worst_case_cost
+
+
+def test_mixed_prices_forced_export_under_forbidden_selling(smoke):
+    # the box repro under a mixed set: the lower bias corner (8 kW) forces
+    # the running turbine's 10 kW to export, so staying on is +inf
+    g, tariff, _ = smoke
+    mset = mixed_set(Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4), 3.0, 1.0)
+    ex = solve_mixed_exact(g, mset, tariff)
+    assert ex.worst_case_cost == pytest.approx(47.4)
+    assert [g.control(e) for e in ex.path.edges] == ["shutdown", "keep", "keep", "start"]
+    all_on = solve_nominal(g, bias_profile(mset), tariff)
+    assert [g.control(e) for e in all_on.path.edges] == ["keep"] * 4
+    assert path_worstcase_cost(g, all_on.path, mset, tariff)[0] == INF
+    assert brute_force_oracle(g, mset, tariff).worst_case_cost == ex.worst_case_cost
+    assert ref_solve(g.model, tariff, mset, g.horizon)[0] == pytest.approx(ex.worst_case_cost, rel=1e-12)
+    for res in (solve_mixed_additive(g, mset, tariff, grid_n=5),
+                solve_mixed_multiplicative(g, mset, tariff, 0.5)):
+        assert res.worst_case_cost == ex.worst_case_cost
+
+
+def test_solvers_match_independent_reference():
+    # ref_solve enumerates walks and scenarios with none of the library's
+    # graph, weight or worst-case code
+    rng = np.random.default_rng(7)
+    n_feasible = 0
+    for _ in range(120):
+        inst = random_instance(rng, max_horizon=6, max_states=4)
+        g = build_graph(inst["model"], inst["horizon"],
+                        initial=inst["initial"], final=inst["final"])
+        tariff, fc = inst["tariff"], inst["forecast"]
+        ends = [None if which == "any" else [which] for which in (inst["initial"], inst["final"])]
+        for uset, solve in ((fc.mean_profile(), solve_nominal),
+                            (box_set(fc, float(rng.uniform(0.0, 2.0))), solve_box),
+                            (mixed_set(fc, float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.5))),
+                             solve_mixed_exact)):
+            ref_cost, _ = ref_solve(inst["model"], tariff, uset, inst["horizon"], *ends)
+            res = solve(g, uset, tariff)
+            assert res.feasible == (ref_cost < INF)
+            if res.feasible:
+                n_feasible += 1
+                assert res.worst_case_cost == pytest.approx(ref_cost, rel=1e-9, abs=1e-12)
+    assert n_feasible >= 300
 
 
 def test_robust_solvers_refuse_falling_costs(smoke):

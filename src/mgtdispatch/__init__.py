@@ -17,7 +17,6 @@ from .demand import (
     MixedSet,
     bias_profile,
     box_set,
-    extreme_scenarios,
     forecast_from_history,
     load_demand,
     load_history,
@@ -75,8 +74,6 @@ from .tariff import (
     TouConfig,
     check_convexity,
     convexify,
-    eval_heat_cost,
-    eval_power_cost,
     flat_tariff,
     is_convex,
     load_tariff,
@@ -121,9 +118,6 @@ __all__ = [
     "edge_bias_spike",
     "edge_weight",
     "enumerate_paths",
-    "eval_heat_cost",
-    "eval_power_cost",
-    "extreme_scenarios",
     "flat_tariff",
     "forecast_from_history",
     "is_convex",

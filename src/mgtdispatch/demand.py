@@ -113,12 +113,6 @@ class MixedSet:
     def n_steps(self) -> int:
         return len(self.p0)
 
-    def spike_size_p(self, t: int) -> float:
-        return self.mu1 / self.delta_p[t]
-
-    def spike_size_h(self, t: int) -> float:
-        return self.mu1 / self.delta_h[t]
-
 
 def forecast_from_history(days: list[DemandProfile]) -> Forecast:
     """Mean/sigma per step over at least two equal-length historical days.
@@ -192,32 +186,6 @@ def bias_profile(mset: MixedSet) -> DemandProfile:
     if not isinstance(mset, MixedSet):
         raise TypeError(f"bias_profile needs a MixedSet, got {type(mset).__name__}")
     return DemandProfile(mset.p0 + mset.dp, mset.h0 + mset.dh)
-
-
-def extreme_scenarios(mset: MixedSet):
-    """Yield (label, DemandProfile) for the bias corner and every spike.
-
-    The bias corner comes first, then for each step t with an enabled spike
-    the power scenario before the heat scenario. At most 2T spike profiles
-    plus the bias profile. Re-iterate by calling again; generation has no
-    side effects.
-    """
-    if not isinstance(mset, MixedSet):
-        raise TypeError(f"extreme_scenarios needs a MixedSet, got {type(mset).__name__}")
-    base_p = mset.p0 + mset.dp
-    base_h = mset.h0 + mset.dh
-    yield "bias-only", DemandProfile(base_p.copy(), base_h.copy())
-    if mset.mu1 == 0.0:
-        return
-    for t in range(mset.n_steps):
-        if mset.spike_power[t]:
-            p = base_p.copy()
-            p[t] += mset.mu1 / mset.delta_p[t]
-            yield f"power-spike@{t}", DemandProfile(p, base_h.copy())
-        if mset.spike_heat[t]:
-            h = base_h.copy()
-            h[t] += mset.mu1 / mset.delta_h[t]
-            yield f"heat-spike@{t}", DemandProfile(base_p.copy(), h)
 
 
 DEMAND_HEADER = ["t", "power_kw", "heat_kw"]

@@ -112,35 +112,6 @@ class DispatchGraph:
         return [sorted(zip(self.dur[r].tolist(), self.head[r].tolist(), r.tolist()))
                 for r in self.templates_by_tail]
 
-    @cached_property
-    def reach_fwd(self) -> np.ndarray:
-        """(horizon, states) mask of the nodes some path from s can reach."""
-        last = self.horizon - 1
-        fwd = np.zeros((self.horizon, self.n_states), dtype=bool)
-        fwd[0] = self.initial_mask
-        for t in range(last):
-            row = fwd[t]
-            if not row.any():
-                continue
-            for d, rows in self.duration_groups:
-                if t + d > last:
-                    continue
-                np.logical_or.at(fwd[t + d], self.head[rows], row[self.tail[rows]])
-        return fwd
-
-    @cached_property
-    def reach_bwd(self) -> np.ndarray:
-        """(horizon, states) mask of the nodes from which q can be reached."""
-        last = self.horizon - 1
-        bwd = np.zeros((self.horizon, self.n_states), dtype=bool)
-        bwd[last] = self.final_mask
-        for t in range(last - 1, -1, -1):
-            for d, rows in self.duration_groups:
-                if t + d > last:
-                    continue
-                np.logical_or.at(bwd[t], self.tail[rows], bwd[t + d][self.head[rows]])
-        return bwd
-
     def template_exists_at(self, k: int, t: int) -> bool:
         return 0 <= t and t + int(self.dur[k]) <= self.horizon - 1
 
@@ -152,19 +123,11 @@ class DispatchGraph:
                 if t + self.dur[k] <= last:
                     yield Edge(t, int(k))
 
-    def out_edges(self, t: int, state_idx: int) -> list[Edge]:
-        last = self.horizon - 1
-        return [Edge(t, int(k)) for k in self.templates_by_tail[state_idx] if t + self.dur[k] <= last]
-
     def tail_node(self, e: Edge) -> tuple[int, str]:
         return (e.time, self.model.states[self.tail[e.template]])
 
     def head_node(self, e: Edge) -> tuple[int, str]:
         return (e.time + int(self.dur[e.template]), self.model.states[self.head[e.template]])
-
-    def span(self, e: Edge) -> tuple[int, int]:
-        """Half-open step range [t1, t2) priced by this edge."""
-        return (e.time, e.time + int(self.dur[e.template]))
 
     def control(self, e: Edge) -> str:
         return self.model.transitions[e.template].control
@@ -195,7 +158,8 @@ def build_graph(model: TurbineModel, horizon: int, initial="any", final="any") -
 
     initial/final are "any", a state name, or an iterable of state names.
     Only the per-template arrays are built here. Nodes no path can touch
-    are kept; the lazy reach_fwd/reach_bwd masks flag them on demand.
+    are kept; the kernels' backward values are +inf at every node that
+    cannot reach q.
     """
     problems = validate_model(model)
     if problems:

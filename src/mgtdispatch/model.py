@@ -46,21 +46,6 @@ class TurbineModel:
     def state_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.states)}
 
-    @cached_property
-    def _by_state(self) -> dict[str, tuple[Transition, ...]]:
-        buckets: dict[str, list[Transition]] = {s: [] for s in self.states}
-        for tr in self.transitions:
-            if tr.from_state in buckets:
-                buckets[tr.from_state].append(tr)
-        return {s: tuple(v) for s, v in buckets.items()}
-
-    def transitions_from(self, state: str) -> tuple[Transition, ...]:
-        return self._by_state[state]
-
-    def successors(self, state: str) -> list[tuple[str, str, int]]:
-        """List (control, next_state, duration_steps) in declaration order."""
-        return [(tr.control, tr.to_state, tr.duration_steps) for tr in self._by_state[state]]
-
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -272,13 +257,20 @@ def _int_field(value, what: str) -> int:
     return int(value)
 
 
+def _name_field(value, what: str) -> str:
+    """A state or control name read from a file; NaN, numbers, null and containers are refused."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> TurbineModel:
     try:
         trs = tuple(
             Transition(
-                from_state=str(row["from"]),
-                control=str(row["control"]),
-                to_state=str(row["to"]),
+                from_state=_name_field(row["from"], "from"),
+                control=_name_field(row["control"], "control"),
+                to_state=_name_field(row["to"], "to"),
                 duration_steps=_int_field(row["duration_steps"], "duration_steps"),
                 power_kw=float(row["power_kw"]),
                 heat_kw=float(row["heat_kw"]),
@@ -286,7 +278,8 @@ def model_from_dict(data: dict) -> TurbineModel:
             )
             for row in data["transitions"]
         )
-        return TurbineModel(float(data["step_seconds"]), tuple(str(s) for s in data["states"]), trs)
+        states = tuple(_name_field(s, "state name") for s in data["states"])
+        return TurbineModel(float(data["step_seconds"]), states, trs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
 

@@ -194,17 +194,17 @@ def solve_mixed_additive(
     """
     if (epsilon is None) == (grid_n is None):
         raise ValueError("the additive sweep needs exactly one of epsilon or grid_n")
+    if grid_n is not None and grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n}")
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     costs = bias_spike_costs(graph, mset, tariff)
     vals = np.append(costs.finite_spike_values(), 0.0)
     lo = float(vals.min())
     hi = float(vals.max())
     if grid_n is not None:
-        if grid_n < 1:
-            raise ValueError(f"grid_n must be >= 1, got {grid_n}")
         thresholds = np.linspace(lo, hi, grid_n) if grid_n > 1 else np.array([hi])
     else:
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
         thresholds = np.unique(np.append(np.arange(lo, hi, epsilon), hi))
     best = _sweep(graph, costs, thresholds)
     return _finish_mixed(graph, mset, tariff, best, "mixed-additive", len(thresholds))
@@ -219,6 +219,8 @@ def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu:
     """
     if mu is None or not mu > 0:
         raise ValueError(f"the multiplicative sweep needs mu > 0, got {mu!r}")
+    if 1.0 + mu == 1.0:
+        raise ValueError(f"the multiplicative sweep needs 1 + mu > 1, got mu={mu!r}")
     costs = bias_spike_costs(graph, mset, tariff)
     vals = costs.finite_spike_values()
     positive = vals[vals > 0]

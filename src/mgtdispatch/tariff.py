@@ -141,20 +141,6 @@ def _eval_block(x: np.ndarray, functions, index: np.ndarray, t0: int) -> np.ndar
     return out
 
 
-def eval_power_cost(tariff: Tariff, t: int, x: float) -> float:
-    """Cost of exchanging x kW of power with the utility during step t."""
-    if not 0 <= t < tariff.horizon_steps:
-        raise IndexError(f"step {t} outside horizon [0, {tariff.horizon_steps})")
-    return tariff.power_fn(t).value(x)
-
-
-def eval_heat_cost(tariff: Tariff, t: int, x: float) -> float:
-    """Cost of covering x kW of heat from the utility during step t (free for x <= 0)."""
-    if not 0 <= t < tariff.horizon_steps:
-        raise IndexError(f"step {t} outside horizon [0, {tariff.horizon_steps})")
-    return tariff.heat_fn(t).value(x)
-
-
 def check_convexity(tariff: Tariff) -> list[str]:
     """Report every step whose cost function is not convex.
 

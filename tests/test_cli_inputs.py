@@ -133,6 +133,23 @@ def test_integer_fields_refuse_infinity_and_fractions(small_pack, tmp_path, caps
         assert "whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["transitions"][3].update(control=float("nan")),
+    lambda d: d["transitions"][3].update(control={}),
+    lambda d: d["transitions"][3].update(control=-2.5),
+    lambda d: d["transitions"][3].update({"from": 0}),
+    lambda d: d["transitions"][3].update(to=None),
+    lambda d: d["states"].__setitem__(0, 7),
+], ids=["control-nan", "control-dict", "control-negative", "from-int", "to-null", "state-int"])
+def test_model_names_must_be_strings(small_pack, tmp_path, capsys, edit):
+    pack = tmp_path / "pack"
+    shutil.copytree(small_pack, pack)
+    _edit_json(pack / "model.json", edit)
+    for argv in _commands(pack):
+        assert main(argv) == 1
+        assert "must be a string" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "compare"])
 @pytest.mark.parametrize("mode, flags", [("add", []), ("add", ["--eps", "0.5", "--grid-n", "4"]), ("mul", [])])
 def test_missing_grid_parameter_exits_1(small_pack, capsys, command, mode, flags):

@@ -9,7 +9,6 @@ from mgtdispatch import (
     Forecast,
     box_set,
     bias_profile,
-    extreme_scenarios,
     forecast_from_history,
     load_demand,
     load_history,
@@ -52,8 +51,8 @@ def test_mixed_set_weights():
     m = mixed_set(fc, 0.03, 40.0)
     assert np.allclose(m.dp, 0.3)
     assert np.allclose(m.delta_p, 0.1)
-    assert math.isclose(m.spike_size_p(0), 400.0)  # mu1 / delta = mu1 * sigma
-    assert math.isclose(m.spike_size_h(1), 160.0)
+    assert math.isclose(m.mu1 / m.delta_p[0], 400.0)  # mu1 / delta = mu1 * sigma
+    assert math.isclose(m.mu1 / m.delta_h[1], 160.0)
     assert m.mu1 == 40.0
 
 
@@ -64,30 +63,25 @@ def test_sigma_zero_disables_spike():
     assert not m.spike_power[0] and m.spike_power[1]
     assert m.spike_heat[0] and not m.spike_heat[1]
     assert np.isinf(m.delta_p[0]) and np.isinf(m.delta_h[1])
-    labels = [name for name, _ in extreme_scenarios(m)]
-    assert labels == ["bias-only", "heat-spike@0", "power-spike@1"]
 
 
-def test_extreme_scenarios_order_and_values():
+def test_bias_corner_and_spike_sizes():
     fc = Forecast(np.array([20.0, 22.0]), np.array([30.0, 31.0]),
                   np.array([2.0, 10.0]), np.array([1.0, 1.0]))
     m = mixed_set(fc, 1.0, 4.0)
-    scen = list(extreme_scenarios(m))
-    labels = [name for name, _ in scen]
-    assert labels == ["bias-only", "power-spike@0", "heat-spike@0", "power-spike@1", "heat-spike@1"]
-    bias = scen[0][1]
+    bias = bias_profile(m)
     assert np.allclose(bias.power_kw, [22.0, 32.0])
+    assert np.allclose(bias.heat_kw, [31.0, 32.0])
     # delta_p(1) = 0.1, so the step-1 power spike adds mu1/delta = 40
-    p1 = scen[3][1]
-    assert math.isclose(p1.power_kw[1] - bias.power_kw[1], 40.0)
-    assert math.isclose(p1.power_kw[0], bias.power_kw[0])
-    assert np.allclose(p1.heat_kw, bias.heat_kw)
+    assert math.isclose(m.mu1 / m.delta_p[1], 40.0)
+    assert math.isclose(m.mu1 / m.delta_p[0], 8.0)
 
 
 def test_zero_budget_means_bias_only():
     fc = Forecast(np.full(3, 10.0), np.full(3, 10.0), np.full(3, 1.0), np.full(3, 1.0))
     m = mixed_set(fc, 0.5, 0.0)
-    assert [name for name, _ in extreme_scenarios(m)] == ["bias-only"]
+    assert m.mu1 == 0.0
+    assert np.all(m.mu1 / m.delta_p == 0.0) and np.all(m.mu1 / m.delta_h == 0.0)
     assert np.allclose(bias_profile(m).power_kw, 10.5)
 
 
@@ -98,8 +92,6 @@ def test_type_guards():
         worst_corner(m)
     with pytest.raises(TypeError):
         bias_profile(box_set(fc, 1.0))
-    with pytest.raises(TypeError):
-        list(extreme_scenarios(box_set(fc, 1.0)))
 
 
 def test_profile_validation():

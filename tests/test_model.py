@@ -18,16 +18,20 @@ from mgtdispatch import (
 def test_cooldown_shape(tiny_model):
     assert tiny_model.states == ("x_on", "x_off1", "x_off2", "x_off3+")
     assert len(tiny_model.transitions) == 6
-    assert tiny_model.successors("x_off1") == [("keep", "x_off2", 1)]
-    assert tiny_model.successors("x_on") == [("keep", "x_on", 1), ("shutdown", "x_off1", 1)]
+    def successors(state):
+        return [(tr.control, tr.to_state, tr.duration_steps)
+                for tr in tiny_model.transitions if tr.from_state == state]
+
+    assert successors("x_off1") == [("keep", "x_off2", 1)]
+    assert successors("x_on") == [("keep", "x_on", 1), ("shutdown", "x_off1", 1)]
     assert validate_model(tiny_model) == []
 
 
 def test_cooldown_costs():
     m = cooldown_example(p=12.0, h=30.0, on_cost=1.5, start_cost=0.7)
-    on = m.transitions_from("x_on")[0]
+    on = [tr for tr in m.transitions if tr.from_state == "x_on"][0]
     assert (on.power_kw, on.heat_kw, on.op_cost) == (12.0, 30.0, 1.5)
-    start = [tr for tr in m.transitions_from("x_off3+") if tr.control == "start"][0]
+    start = [tr for tr in m.transitions if tr.from_state == "x_off3+" and tr.control == "start"][0]
     assert start.op_cost == 0.7
     assert start.power_kw == 0.0
 
@@ -77,7 +81,7 @@ def test_synth_cycling_and_off():
     assert (shutdown.from_state, shutdown.to_state, shutdown.duration_steps) == ("s00v00", "off", 12)
     assert start.op_cost == 3.75 and shutdown.op_cost == 3.75
     assert start.power_kw == 0.0 and shutdown.heat_kw == 0.0
-    off_keep = [tr for tr in m.transitions_from("off") if tr.control == "keep"][0]
+    off_keep = [tr for tr in m.transitions if tr.from_state == "off" and tr.control == "keep"][0]
     assert (off_keep.power_kw, off_keep.heat_kw, off_keep.op_cost) == (0.0, 0.0, 0.0)
 
 

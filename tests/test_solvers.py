@@ -82,6 +82,11 @@ def test_additive_grid_controls(smoke):
         solve_mixed_additive(g, mset, tariff, epsilon=0.0)
     with pytest.raises(ValueError, match="grid_n"):
         solve_mixed_additive(g, mset, tariff, grid_n=0)
+    # refused before the edge costs are built: no set is read
+    with pytest.raises(ValueError, match="grid_n"):
+        solve_mixed_additive(g, None, tariff, grid_n=0)
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_mixed_additive(g, None, tariff, epsilon=-1.0)
 
 
 def test_multiplicative_grid(smoke):
@@ -94,6 +99,9 @@ def test_multiplicative_grid(smoke):
         solve_mixed_multiplicative(g, mset, tariff, mu=0.0)
     with pytest.raises(ValueError, match="mu"):
         solve_mixed_multiplicative(g, mset, tariff, mu=None)
+    # 1 + 1e-17 == 1.0, so the budget ladder would never grow
+    with pytest.raises(ValueError, match=r"1 \+ mu > 1"):
+        solve_mixed_multiplicative(g, mset, tariff, mu=1e-17)
 
 
 def test_solve_mixed_dispatches_by_mode(smoke):

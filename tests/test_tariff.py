@@ -9,8 +9,6 @@ from mgtdispatch import (
     TouConfig,
     check_convexity,
     convexify,
-    eval_heat_cost,
-    eval_power_cost,
     flat_tariff,
     is_convex,
     load_tariff,
@@ -27,23 +25,15 @@ INF = float("inf")
 
 def test_power_cost_examples():
     buy_only = flat_tariff(4, 15.0, 0.5, None, 0.1)
-    assert eval_power_cost(buy_only, 0, 4.0) == 2.0
-    assert eval_power_cost(buy_only, 0, -1.0) == INF
+    assert buy_only.power_fn(0).value(4.0) == 2.0
+    assert buy_only.power_fn(0).value(-1.0) == INF
 
     with_sell = flat_tariff(4, 15.0, 0.5, 0.5, 0.1)
-    assert eval_power_cost(with_sell, 0, -4.0) == -2.0
+    assert with_sell.power_fn(0).value(-4.0) == -2.0
 
-    assert eval_heat_cost(buy_only, 0, 10.0) == 1.0
-    assert eval_heat_cost(buy_only, 0, -5.0) == 0.0
-    assert eval_heat_cost(buy_only, 0, 0.0) == 0.0
-
-
-def test_eval_outside_horizon():
-    t = flat_tariff(4, 15.0, 0.5, None, 0.1)
-    with pytest.raises(IndexError):
-        eval_power_cost(t, 4, 1.0)
-    with pytest.raises(IndexError):
-        eval_heat_cost(t, -1, 1.0)
+    assert buy_only.heat_fn(0).value(10.0) == 1.0
+    assert buy_only.heat_fn(0).value(-5.0) == 0.0
+    assert buy_only.heat_fn(0).value(0.0) == 0.0
 
 
 def test_piecewise_segments():
@@ -95,11 +85,11 @@ def test_tou_peak_window():
                     buy_offpeak_per_kwh=0.12, heat_buy_per_kwh=0.0725)
     t = tou_tariff(cfg)
     per_step = 15.0 / 3600.0
-    assert math.isclose(eval_power_cost(t, 2400, 1.0), 0.30 * per_step)
-    assert math.isclose(eval_power_cost(t, 2399, 1.0), 0.12 * per_step)
-    assert math.isclose(eval_power_cost(t, 4799, 1.0), 0.30 * per_step)
-    assert math.isclose(eval_power_cost(t, 4800, 1.0), 0.12 * per_step)
-    assert math.isclose(eval_heat_cost(t, 0, 1.0), 0.0725 * per_step)
+    assert math.isclose(t.power_fn(2400).value(1.0), 0.30 * per_step)
+    assert math.isclose(t.power_fn(2399).value(1.0), 0.12 * per_step)
+    assert math.isclose(t.power_fn(4799).value(1.0), 0.30 * per_step)
+    assert math.isclose(t.power_fn(4800).value(1.0), 0.12 * per_step)
+    assert math.isclose(t.heat_fn(0).value(1.0), 0.0725 * per_step)
 
 
 def test_tou_wrapping_window_and_heat_per_kg():
@@ -107,12 +97,12 @@ def test_tou_wrapping_window_and_heat_per_kg():
                     buy_offpeak_per_kwh=0.1, peak_start_hour=22.0, peak_end_hour=6.0,
                     sell_per_kwh="forbidden", heat_price_per_kg=13.1)
     t = tou_tariff(cfg)
-    assert math.isclose(eval_power_cost(t, 23, 1.0), 0.4)
-    assert math.isclose(eval_power_cost(t, 3, 1.0), 0.4)
-    assert math.isclose(eval_power_cost(t, 12, 1.0), 0.1)
-    assert eval_power_cost(t, 12, -1.0) == INF
+    assert math.isclose(t.power_fn(23).value(1.0), 0.4)
+    assert math.isclose(t.power_fn(3).value(1.0), 0.4)
+    assert math.isclose(t.power_fn(12).value(1.0), 0.1)
+    assert t.power_fn(12).value(-1.0) == INF
     # 13.1 $/kg at 13.1 kWh/kg -> 1 $/kWh -> 1 per kW-step at 1 h steps
-    assert math.isclose(eval_heat_cost(t, 0, 1.0), 1.0)
+    assert math.isclose(t.heat_fn(0).value(1.0), 1.0)
 
 
 def test_vector_scalar_bit_parity():
@@ -224,8 +214,8 @@ def test_tariff_roundtrip(tmp_path):
     assert back.horizon_steps == t.horizon_steps
     for step in range(96):
         for x in (-3.0, 0.0, 2.5, 17.0):
-            assert math.isclose(eval_power_cost(back, step, x), eval_power_cost(t, step, x))
-        assert math.isclose(eval_heat_cost(back, step, 5.0), eval_heat_cost(t, step, 5.0))
+            assert math.isclose(back.power_fn(step).value(x), t.power_fn(step).value(x))
+        assert math.isclose(back.heat_fn(step).value(5.0), t.heat_fn(step).value(5.0))
 
 
 def test_tariff_dict_validation():
@@ -233,7 +223,7 @@ def test_tariff_dict_validation():
             "power": [{"from_step": 0, "to_step": 4, "buy_per_kwh": 0.3, "sell_per_kwh": "forbidden"}],
             "heat": {"buy_per_kwh": 0.07}}
     t = tariff_from_dict(base)
-    assert eval_power_cost(t, 0, -1.0) == INF
+    assert t.power_fn(0).value(-1.0) == INF
 
     gap = dict(base, power=[{"from_step": 0, "to_step": 2, "buy_per_kwh": 0.3, "sell_per_kwh": 0.1}])
     with pytest.raises(ValueError, match="unpriced"):

@@ -35,8 +35,9 @@ for season in manifest["seasons"]:
     )
     cases.append(case)
     mixed = case.entry("mixed")
-    print(f"{season}: mixed sweep evaluated {mixed.solution.thresholds_evaluated} "
-          f"budgets, picked alpha={mixed.solution.threshold:.3f}")
+    print(f"{season}: mixed sweep solved {mixed.solution.thresholds_evaluated} of "
+          f"{mixed.solution.thresholds_candidates} candidate budgets, "
+          f"picked alpha={mixed.solution.threshold:.3f}")
 
 report = ComparisonReport(cases=tuple(cases))
 print()

@@ -154,6 +154,7 @@ def _cmd_solve(args) -> int:
         "worst_scenario": solution.worst_scenario,
         "threshold": solution.threshold,
         "thresholds_evaluated": solution.thresholds_evaluated,
+        "thresholds_candidates": solution.thresholds_candidates,
         "schedule_cost": schedule.total_cost if schedule else None,
         "evaluation_profile": profile_name,
         "runtime_s": runtime,

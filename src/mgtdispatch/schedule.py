@@ -192,6 +192,7 @@ class ComparisonReport:
                             "worst_scenario": e.solution.worst_scenario,
                             "threshold": e.solution.threshold,
                             "thresholds_evaluated": e.solution.thresholds_evaluated,
+                            "thresholds_candidates": e.solution.thresholds_candidates,
                             "realized_cost": e.realized_cost,
                             "reduction_pct": e.reduction_pct,
                             "runtime_s": e.runtime_s,

@@ -13,15 +13,21 @@ interval deviation at most one scaled spike can land on a single step and
 commodity. The worst case of a path then decomposes into the sum of its
 bias-corner edge costs plus the largest single-edge spike increment, and the
 optimum is found by sweeping a spike budget alpha over candidate thresholds:
-for each alpha solve a shortest path restricted to edges with spike cost
-<= alpha, score the result as bias total + max spike, and keep the best.
-Sweeping every distinct edge spike value is exact; the additive and
-multiplicative variants thin the grid and give V* + eps and (1 + mu) * V*
+a solve at alpha is a shortest path restricted to edges with spike cost
+<= alpha, scored as bias total + max spike, and the best (score, max spike,
+alpha) wins. Sweeping every distinct edge spike value is exact; the additive
+and multiplicative variants thin the grid and give V* + eps and (1 + mu) * V*
 guarantees.
+
+The sweep (_sweep) solves only the few candidates that pruning leaves and
+returns what solving all of them would. A solution reports both counts:
+thresholds_candidates is the size of the grid, thresholds_evaluated the
+restricted solves run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,9 @@ from .shortest_path import PathResult, shortest_path_dag, shortest_path_restrict
 from .tariff import require_monotone
 
 INF = float("inf")
+# the multiplicative ladder may always hold this many rungs: it builds in
+# milliseconds, so a small plant keeps a fine ladder over few spike values
+_RUNG_FLOOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,8 @@ class RobustSolution:
     worst_case_cost is the path's cost under its worst admissible demand and
     worst_scenario names that demand ("nominal", "box-corner", "bias-only",
     or "power-spike@t"/"heat-spike@t"). Sweep-based solvers also report how
-    many thresholds they tried and which budget won.
+    many candidate budgets their grid held, how many of them they solved and
+    which budget won.
     """
 
     algorithm: str
@@ -62,14 +72,15 @@ class RobustSolution:
     worst_scenario: str
     thresholds_evaluated: int | None = None
     threshold: float | None = None
+    thresholds_candidates: int | None = None
 
     @property
     def feasible(self) -> bool:
         return self.path.feasible
 
 
-def _infeasible(algorithm: str, n_thresh: int | None = None) -> RobustSolution:
-    return RobustSolution(algorithm, PathResult(False), INF, "infeasible", n_thresh, None)
+def _infeasible(algorithm: str) -> RobustSolution:
+    return RobustSolution(algorithm, PathResult(False), INF, "infeasible")
 
 
 def path_cost_at(graph: DispatchGraph, path: PathResult, demand: DemandProfile, tariff) -> float:
@@ -147,24 +158,78 @@ def solve_box(graph: DispatchGraph, bset: BoxSet, tariff) -> RobustSolution:
 
 
 def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
-    """Restricted solve per threshold; best by (score, max spike, alpha)."""
-    best = None
-    for alpha in thresholds:
-        res = shortest_path_restricted(graph, costs, float(alpha))
+    """Best restricted solve by (score, max spike, alpha) over ascending thresholds.
+
+    Returns ((key, path, alpha) or None when every threshold is infeasible,
+    restricted solves run). The result is the one a solve at every threshold
+    would give (tests/test_sweep.py keeps that loop as the oracle), but most
+    thresholds are never solved. The driver solves the
+    top threshold, then the bottom one, then bisects, using three facts:
+
+    - a solve at a_i giving (B, S) fixes B and S on every threshold in
+      [S, a_i], since its path stays feasible there and fewer edges never
+      lower B; the smallest threshold a_m >= S has the best key of them,
+      (B + S, S, a_m), so only thresholds below a_m stay open;
+    - an open interval (a_lo, a_hi) is skipped when the incumbent key is
+      below (B(a_hi) + a_lo, a_lo, inf): an interior winner would need a
+      max spike above a_lo (else a_lo's key is no worse) and a bias of at
+      least B(a_hi);
+    - an infeasible solve makes every lower threshold infeasible.
+
+    A winning threshold that was inferred, not solved, is solved at the end
+    for its path.
+    """
+    paths: dict[float, PathResult] = {}
+    best = None  # (key, index of its threshold)
+    solves = 0
+
+    def solve(i: int):
+        """Solve at thresholds[i] and offer its key; (B, m) or None when infeasible."""
+        nonlocal best, solves
+        solves += 1
+        alpha = float(thresholds[i])
+        res = paths[alpha] = shortest_path_restricted(graph, costs, alpha)
         if not res.feasible:
-            continue
-        key = (res.total + res.aux_max, res.aux_max, float(alpha))
+            return None
+        m = int(np.searchsorted(thresholds, res.aux_max))
+        key = (res.total + res.aux_max, res.aux_max, float(thresholds[m]))
         if best is None or key < best[0]:
-            best = (key, res, float(alpha))
-    return best
+            best = (key, m)
+        return res.total, m
+
+    top = solve(len(thresholds) - 1)
+    if top is None:
+        return None, solves
+    # open intervals (lo, hi) of unsolved thresholds, with B(a_hi)
+    stack = []
+    if top[1] > 0:
+        solve(0)
+        stack.append((0, top[1], top[0]))
+    while stack:
+        lo, hi, b_hi = stack.pop()
+        a_lo = float(thresholds[lo])
+        if hi - lo < 2 or best[0] < (b_hi + a_lo, a_lo, INF):
+            continue
+        mid = (lo + hi) // 2
+        got = solve(mid)
+        stack.append((mid, hi, b_hi))
+        if got is not None and got[1] > lo:
+            stack.append((lo, got[1], got[0]))
+
+    m = best[1]
+    alpha = float(thresholds[m])
+    if alpha not in paths:
+        solve(m)
+    res = paths[alpha]
+    return ((res.total + res.aux_max, res.aux_max, alpha), res, alpha), solves
 
 
-def _finish_mixed(graph, mset, tariff, best, algorithm: str, n_thresh: int) -> RobustSolution:
-    if best is None:
-        return _infeasible(algorithm, n_thresh)
-    _, path, alpha = best
+def _finish_mixed(graph, mset, tariff, costs: EdgeCosts, thresholds: np.ndarray,
+                  algorithm: str) -> RobustSolution:
+    best, solves = _sweep(graph, costs, thresholds)
+    _, path, alpha = best or (None, PathResult(False), None)
     cost, scenario = path_worstcase_cost(graph, path, mset, tariff)
-    return RobustSolution(algorithm, path, cost, scenario, n_thresh, alpha)
+    return RobustSolution(algorithm, path, cost, scenario, solves, alpha, len(thresholds))
 
 
 def solve_mixed_exact(graph: DispatchGraph, mset: MixedSet, tariff) -> RobustSolution:
@@ -175,8 +240,7 @@ def solve_mixed_exact(graph: DispatchGraph, mset: MixedSet, tariff) -> RobustSol
     """
     costs = bias_spike_costs(graph, mset, tariff)
     thresholds = np.unique(np.append(costs.finite_spike_values(), 0.0))
-    best = _sweep(graph, costs, thresholds)
-    return _finish_mixed(graph, mset, tariff, best, "mixed-exact", len(thresholds))
+    return _finish_mixed(graph, mset, tariff, costs, thresholds, "mixed-exact")
 
 
 def solve_mixed_additive(
@@ -206,8 +270,7 @@ def solve_mixed_additive(
         thresholds = np.linspace(lo, hi, grid_n) if grid_n > 1 else np.array([hi])
     else:
         thresholds = np.unique(np.append(np.arange(lo, hi, epsilon), hi))
-    best = _sweep(graph, costs, thresholds)
-    return _finish_mixed(graph, mset, tariff, best, "mixed-additive", len(thresholds))
+    return _finish_mixed(graph, mset, tariff, costs, thresholds, "mixed-additive")
 
 
 def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu: float) -> RobustSolution:
@@ -215,7 +278,10 @@ def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu:
 
     Guarantees a cost within factor 1 + mu of the exact optimum. Budget 0 is
     always included; the geometric ladder starts at the smallest positive
-    spike value and is capped by the largest.
+    spike value and is capped by the largest. A mu whose ladder would have
+    more rungs than there are edge spike values (and more than
+    _RUNG_FLOOR) is refused: the exact sweep never needs more budgets than
+    that, and the ladder is built one rung at a time.
     """
     if mu is None or not mu > 0:
         raise ValueError(f"the multiplicative sweep needs mu > 0, got {mu!r}")
@@ -229,12 +295,15 @@ def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu:
     else:
         lo = float(positive.min())
         hi = float(positive.max())
+        rungs = math.ceil((math.log(hi) - math.log(lo)) / math.log1p(mu))
+        if rungs > max(vals.size, _RUNG_FLOOR):
+            raise ValueError(f"mu={mu!r} asks for {rungs} budget rungs, more than the {vals.size} edge "
+                             "spike values the exact sweep would try; use a larger mu or the exact sweep")
         ladder = [lo]
         while ladder[-1] < hi:
             ladder.append(ladder[-1] * (1.0 + mu))
         thresholds = np.unique(np.array([0.0] + ladder + [hi]))
-    best = _sweep(graph, costs, thresholds)
-    return _finish_mixed(graph, mset, tariff, best, "mixed-multiplicative", len(thresholds))
+    return _finish_mixed(graph, mset, tariff, costs, thresholds, "mixed-multiplicative")
 
 
 def _solve_mixed(graph: DispatchGraph, mset: MixedSet, tariff, mode: str, *,

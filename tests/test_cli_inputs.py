@@ -164,6 +164,19 @@ def test_missing_grid_parameter_exits_1(small_pack, capsys, command, mode, flags
     assert ("exactly one of epsilon or grid_n" if mode == "add" else "needs mu > 0") in err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_tiny_mu_exits_1(small_pack, capsys, command):
+    # about 1.1e9 ladder rungs: refused before any is built
+    w = small_pack / "winter"
+    if command == "solve":
+        argv = ["solve", "--model", str(small_pack / "model.json"), "--tariff", str(w / "tariff.json"),
+                "--history", str(w / "history"), "--algo", "mixed-mul", "--mu", "1e-9"]
+    else:
+        argv = ["compare", "--pack", str(small_pack), "--season", "winter", "--mu", "1e-9"]
+    assert main(argv) == 1
+    assert "budget rungs" in capsys.readouterr().err
+
+
 def test_entry_point_exit_status(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 

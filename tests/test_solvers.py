@@ -67,7 +67,8 @@ def test_additive_grid_controls(smoke):
     g, tariff, fc = smoke
     mset = mixed_set(fc, 1.0, 2.0)
     res = solve_mixed_additive(g, mset, tariff, grid_n=30)
-    assert res.thresholds_evaluated == 30
+    assert res.thresholds_candidates == 30
+    assert res.thresholds_evaluated <= res.thresholds_candidates
     assert res.worst_case_cost == 22.4
     res = solve_mixed_additive(g, mset, tariff, grid_n=1)
     assert res.thresholds_evaluated == 1

@@ -1,0 +1,195 @@
+"""The pruned budget sweep against a solve at every threshold.
+
+`full_sweep` is the unpruned loop the pruned driver replaced: one restricted
+solve per candidate, best by (score, max spike, alpha). Every mixed solver
+must return what that loop returns on the grid it built (key, threshold,
+path) while running no more restricted solves than it has candidates.
+"""
+
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mgtdispatch.solvers as solvers
+from mgtdispatch import (
+    EdgeCosts,
+    build_graph,
+    cooldown_example,
+    forecast_from_history,
+    load_history,
+    load_model,
+    load_pack_manifest,
+    load_tariff,
+    mixed_set,
+    shortest_path_restricted,
+    solve_mixed_additive,
+    solve_mixed_exact,
+    solve_mixed_multiplicative,
+)
+from instances import random_instance
+
+INF = float("inf")
+PACK = Path(__file__).resolve().parents[1] / "data" / "four_season"
+
+
+def full_sweep(graph, costs, thresholds):
+    """Restricted solve per threshold; best (key, path, alpha) or None."""
+    best = None
+    for alpha in thresholds:
+        res = shortest_path_restricted(graph, costs, float(alpha))
+        if not res.feasible:
+            continue
+        key = (res.total + res.aux_max, res.aux_max, float(alpha))
+        if best is None or key < best[0]:
+            best = (key, res, float(alpha))
+    return best
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    """Record each sweep's edge costs and grid, and count its restricted solves."""
+    seen = {"calls": 0, "sweeps": []}
+
+    def restricted(*args):
+        seen["calls"] += 1
+        return shortest_path_restricted(*args)
+
+    def sweep(graph, costs, thresholds, _orig=solvers._sweep):
+        seen["sweeps"].append((costs, thresholds))
+        return _orig(graph, costs, thresholds)
+
+    monkeypatch.setattr(solvers, "shortest_path_restricted", restricted)
+    monkeypatch.setattr(solvers, "_sweep", sweep)
+    return seen
+
+
+def _solvers(graph, mset, tariff):
+    return (lambda: solve_mixed_exact(graph, mset, tariff),
+            lambda: solve_mixed_additive(graph, mset, tariff, grid_n=1),
+            lambda: solve_mixed_additive(graph, mset, tariff, grid_n=5),
+            lambda: solve_mixed_additive(graph, mset, tariff, grid_n=30),
+            lambda: solve_mixed_additive(graph, mset, tariff, epsilon=0.7),
+            lambda: solve_mixed_multiplicative(graph, mset, tariff, mu=0.3))
+
+
+def _check_against_full(graph, mset, tariff, spy) -> tuple[int, int]:
+    """Every mixed solver against the full loop; (feasible solves, solves saved)."""
+    n_feasible = n_saved = 0
+    for run in _solvers(graph, mset, tariff):
+        spy["calls"], spy["sweeps"] = 0, []
+        got = run()
+        (costs, thresholds), = spy["sweeps"]
+        assert got.thresholds_candidates == len(thresholds)
+        assert got.thresholds_evaluated == spy["calls"] <= got.thresholds_candidates
+        n_saved += got.thresholds_evaluated < got.thresholds_candidates
+        want = full_sweep(graph, costs, thresholds)
+        if want is None:
+            assert not got.feasible and got.threshold is None
+            continue
+        n_feasible += 1
+        key, path, alpha = want
+        assert got.threshold == alpha
+        assert (got.path.total + got.path.aux_max, got.path.aux_max, got.threshold) == key
+        assert got.path.edges == path.edges
+        assert got.path.nodes == path.nodes
+    return n_feasible, n_saved
+
+
+def test_pruned_matches_full_on_random_instances(spy):
+    rng = np.random.default_rng(211)
+    n_feasible = n_saved = 0
+    for _ in range(60):
+        inst = random_instance(rng, monotone=True)
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.5)))
+        feasible, saved = _check_against_full(g, mset, inst["tariff"], spy)
+        n_feasible += feasible
+        n_saved += saved
+    assert n_feasible >= 150
+    assert n_saved >= 100
+
+
+def test_pruned_matches_full_on_tied_integer_costs():
+    # integer bias and spike costs tie often, so keys differ only in the
+    # max spike or the threshold, which pins both tie-breaks
+    rng = np.random.default_rng(223)
+    n_feasible = n_saved = 0
+    for _ in range(150):
+        inst = random_instance(rng, max_horizon=7, max_states=4)
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        shape = (g.n_templates, g.horizon)
+        w_bias = np.full(shape, INF)
+        w_spike = np.zeros(shape)
+        for e in g.edges():
+            w_bias[e.template, e.time] = float(rng.integers(0, 4))
+            w_spike[e.template, e.time] = float(rng.integers(0, 5))
+        costs = EdgeCosts(w_bias, w_spike)
+        for thresholds in (np.unique(np.append(costs.finite_spike_values(), 0.0)),
+                           np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 4)):
+            want = full_sweep(g, costs, thresholds)
+            got, solves = solvers._sweep(g, costs, thresholds)
+            assert solves <= len(thresholds)
+            n_saved += solves < len(thresholds)
+            if want is None:
+                assert got is None
+                continue
+            n_feasible += 1
+            assert got[0] == want[0] and got[2] == want[2]
+            assert got[1] == want[1]
+    assert n_feasible >= 200
+    assert n_saved >= 100
+
+
+def test_grid_winner_with_spike_between_grid_points():
+    # One step, grid budgets 0, 3, 6, three single-edge paths:
+    #   A: bias 9,   spike 5  -> best at budget 6, key (14, 5, 6)
+    #   W: bias 9.5, spike 1  -> best at budget 3, key (10.5, 1, 3)
+    #   C: bias 11,  spike 0  -> best at budget 0, key (11, 0, 0)
+    # After the top and bottom solves the incumbent is C's 11. W's spike 1
+    # lies between the grid points 0 and 3, so its score 10.5 is below
+    # B(6) + 3 = 12: a bound built on the next grid point above a_lo would
+    # skip budget 3 and return C. The a_lo bound, B(6) + 0 = 9, solves it.
+    g = build_graph(cooldown_example(), 2)
+    shape = (g.n_templates, g.horizon)
+    w_bias = np.full(shape, INF)
+    w_spike = np.zeros(shape)
+    for k, bias, spike in ((0, 9.0, 5.0), (2, 9.5, 1.0), (3, 11.0, 0.0)):
+        w_bias[k, 0], w_spike[k, 0] = bias, spike
+    costs = EdgeCosts(w_bias, w_spike)
+    thresholds = np.array([0.0, 3.0, 6.0])
+    want = full_sweep(g, costs, thresholds)
+    got, solves = solvers._sweep(g, costs, thresholds)
+    assert want[0] == (10.5, 1.0, 3.0)
+    assert got[0] == want[0] and got[1] == want[1] and got[2] == 3.0
+    assert solves == 3
+
+
+def _pack_season(season: str):
+    manifest = load_pack_manifest(str(PACK))
+    model = load_model(str(PACK / manifest["model"]))
+    tariff = load_tariff(str(PACK / season / "tariff.json"))
+    forecast = forecast_from_history(load_history(str(PACK / season / "history")))
+    graph = build_graph(model, forecast.n_steps + 1)
+    return graph, mixed_set(forecast, manifest["alpha1"], manifest["alpha2"]), tariff
+
+
+@pytest.mark.parametrize("season", ["winter", "spring", "summer", "autumn"])
+def test_pruned_matches_full_on_pack(season, spy):
+    g, mset, tariff = _pack_season(season)
+    n_feasible, _ = _check_against_full(g, mset, tariff, spy)
+    assert n_feasible == 6
+    exact = solve_mixed_exact(g, mset, tariff)
+    # hundreds of candidates, a few dozen solves at most
+    assert exact.thresholds_candidates > 500
+    assert exact.thresholds_evaluated < exact.thresholds_candidates / 20
+
+
+def test_tiny_multiplicative_ratio_is_refused_fast():
+    # about 2.7e9 rungs against some 20,000 edge spike values
+    g, mset, tariff = _pack_season("autumn")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="rungs"):
+        solve_mixed_multiplicative(g, mset, tariff, mu=1e-9)
+    assert time.perf_counter() - t0 < 10.0

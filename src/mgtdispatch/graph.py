@@ -10,12 +10,14 @@ T - 1 demand steps.
 
 Because every time layer repeats the same transition table, edges are stored
 as (template, start time) pairs: template k is the k-th model transition and
-exists at time t iff t + duration(k) <= horizon - 1. A step's utility cost
-depends only on the step and on the template's power and heat output, so a
-scenario is priced once per distinct output level and step, and each edge
-folds its template's rows of those tables over its span into a (templates x
-horizon) array. The scalar evaluators below follow the exact same operation
-order, so both routes produce bit-identical numbers.
+exists at time t iff t + duration(k) <= horizon - 1. Edge costs are
+layer-major (horizon x templates) arrays indexed [t, k], so the backward DP
+reads one contiguous row per layer. A step's utility cost depends only on
+the step and on the template's power and heat output, so a scenario is
+priced once per distinct output level and step, a block of layers at a
+time, and each edge folds its template's entries of those tables over its
+span. The scalar evaluators below follow the exact same operation order, so
+both routes produce bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -76,9 +78,14 @@ class DispatchGraph:
         return in_horizon + int(self.initial_mask.sum()) + int(self.final_mask.sum())
 
     @cached_property
-    def duration_groups(self) -> list[tuple[int, np.ndarray]]:
-        """Template rows grouped by duration, ascending durations."""
-        return [(int(d), np.nonzero(self.dur == d)[0]) for d in np.unique(self.dur)]
+    def duration_groups(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(duration, templates, their power level, their heat level) per duration, ascending.
+
+        The levels index the distinct outputs of output_levels.
+        """
+        (_, p_of), (_, h_of) = self.output_levels
+        groups = [np.nonzero(self.dur == d)[0] for d in np.unique(self.dur)]
+        return [(int(self.dur[k[0]]), k, p_of[k], h_of[k]) for k in groups]
 
     @cached_property
     def output_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -212,50 +219,71 @@ def _check_tariff(graph: DispatchGraph, tariff: Tariff) -> None:
         )
 
 
-def _fold_spans(graph: DispatchGraph, step_values, fold, seed: np.ndarray, absent: float) -> np.ndarray:
-    """(templates, horizon) array of per-step values folded over each edge's span.
+_BLOCK_CELLS = 1 << 18
 
-    step_values(rows) returns the (len(rows), priced steps) values of those
-    template rows. Entry [k, t] is fold(...fold(seed[k], v[t])..., v[t + d - 1])
-    for a template of duration d, left to right, and `absent` where template
-    k has no edge at t. Rows go in blocks of 4096 so the gathered values of
-    one block stay small (one-step templates at T = 1440 would take ~100 MB).
+
+def _fold_layers(graph: DispatchGraph, level_values, fold, seed: np.ndarray, absent: float) -> np.ndarray:
+    """(horizon, templates) array of per-step values folded over each edge's span.
+
+    level_values(a, b) returns the (b - a, levels) power and heat tables of
+    steps [a, b) over the distinct output levels; a template's value at a
+    step is fold(power entry, heat entry) of its two levels. Entry [t, k] is
+    fold(...fold(seed[k], v[t])..., v[t + d - 1]) for a template of duration
+    d, left to right, and `absent` where template k has no edge at t.
+    Layers go in blocks of about _BLOCK_CELLS output cells, and each block
+    prices only the steps the blocks before it did not, so everything but
+    the output stays a few MB.
     """
-    out = np.full((graph.n_templates, graph.horizon), absent, dtype=np.float64)
-    for d, rows in graph.duration_groups:
-        maxt = graph.horizon - d
-        if maxt <= 0:
-            continue
-        for r0 in range(0, len(rows), 4096):
-            rr = rows[r0:r0 + 4096]
-            step = step_values(rr)
-            acc = fold(seed[rr][:, None], step[:, :maxt])
-            for shift in range(1, d):
-                fold(acc, step[:, shift:shift + maxt], out=acc)
-            out[rr, :maxt] = acc
+    n = graph.n_priced_steps
+    span = graph.duration_groups[-1][0]
+    rows = max(1, _BLOCK_CELLS // graph.n_templates)
+    out = np.empty((graph.horizon, graph.n_templates), dtype=np.float64)
+    out[n] = absent
+    (p_lvl, _), (h_lvl, _) = graph.output_levels
+    # the tables hold steps [t0, priced) at the top of each block
+    p_tab, h_tab = np.empty((0, len(p_lvl))), np.empty((0, len(h_lvl)))
+    priced = 0
+    for t0 in range(0, n, rows):
+        t1 = min(t0 + rows, n)
+        end = min(t1 + span - 1, n)
+        if end > priced:
+            p_new, h_new = level_values(priced, end)
+            p_tab, h_tab = np.concatenate((p_tab, p_new)), np.concatenate((h_tab, h_new))
+            priced = end
+        for d, cols, p_of, h_of in graph.duration_groups:
+            # layers t < n - d + 1 hold an edge of this duration
+            live = max(0, min(t1, n - d + 1) - t0)
+            if live:
+                step = np.take(p_tab[:live + d - 1], p_of, axis=1)
+                acc = np.take(h_tab[:live + d - 1], h_of, axis=1)
+                fold(step, acc, out=step)
+                acc = fold(seed[cols], step[:live], out=acc[:live])
+                for shift in range(1, d):
+                    fold(acc, step[shift:shift + live], out=acc)
+                out[t0:t0 + live, cols] = acc
+            if t0 + live < t1:
+                out[t0 + live:t1, cols] = absent
+        p_tab, h_tab = p_tab[t1 - t0:], h_tab[t1 - t0:]
     return out
 
 
 def scenario_weights(graph: DispatchGraph, demand: DemandProfile, tariff: Tariff) -> np.ndarray:
-    """Edge weights under one fixed demand, as a (templates, horizon) array.
+    """Edge weights under one fixed demand, as a (horizon, templates) array.
 
-    Entry [k, t] is +inf where template k has no edge at time t (head layer
+    Entry [t, k] is +inf where template k has no edge at time t (head layer
     past the horizon) or where the scenario makes the edge unusable
     (forbidden selling). Weight = op_cost + sum over covered steps of the
     power and heat purchase costs.
     """
     p_dem, h_dem = _demand_steps(graph, demand)
     _check_tariff(graph, tariff)
-    (p_lvl, p_of), (h_lvl, h_of) = graph.output_levels
-    p_cost = tariff.power_cost_block(p_dem[None, :] - p_lvl[:, None], 0)
-    h_cost = tariff.heat_cost_block(h_dem[None, :] - h_lvl[:, None], 0)
+    (p_lvl, _), (h_lvl, _) = graph.output_levels
 
-    def step_cost(rows: np.ndarray) -> np.ndarray:
-        cost = p_cost[p_of[rows]]
-        cost += h_cost[h_of[rows]]
-        return cost
+    def step_costs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        return (tariff.power_cost_block(p_dem[None, a:b] - p_lvl[:, None], a).T,
+                tariff.heat_cost_block(h_dem[None, a:b] - h_lvl[:, None], a).T)
 
-    return _fold_spans(graph, step_cost, np.add, graph.op_cost, INF)
+    return _fold_layers(graph, step_costs, np.add, graph.op_cost, INF)
 
 
 def _sell_forbidden(graph: DispatchGraph, tariff: Tariff) -> bool:
@@ -287,22 +315,22 @@ def _drop_forced_export(graph: DispatchGraph, weights: np.ndarray, uset, tariff:
 class EdgeCosts:
     """Per-edge robust cost pair for a mixed uncertainty set.
 
-    w_bias[k, t] is the edge weight at the spikeless bias corner (+inf where
-    the edge does not exist or cannot be used, including an edge that must
-    export at the lower corner on a forbidden-sell step); w_spike[k, t] >= 0
-    is the worst single-spike increment over the edge's span. Edges with
-    infinite bias get w_spike = 0 and are skipped when threshold grids are
-    built.
+    Both are (horizon, templates) arrays. w_bias[t, k] is the edge weight at
+    the spikeless bias corner (+inf where the edge does not exist or cannot
+    be used, including an edge that must export at the lower corner on a
+    forbidden-sell step); w_spike[t, k] >= 0 is the worst single-spike
+    increment over the edge's span. Edges with infinite bias get
+    w_spike = 0 and are skipped when threshold grids are built.
     """
 
     w_bias: np.ndarray
     w_spike: np.ndarray
 
     def bias_of(self, e: Edge) -> float:
-        return float(self.w_bias[e.template, e.time])
+        return float(self.w_bias[e.time, e.template])
 
     def spike_of(self, e: Edge) -> float:
-        return float(self.w_spike[e.template, e.time])
+        return float(self.w_spike[e.time, e.template])
 
     def finite_spike_values(self) -> np.ndarray:
         """Spike values of every usable edge (finite bias), flattened."""
@@ -319,27 +347,26 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
 
     p_dem, h_dem = _demand_steps(graph, bias)
     n = graph.n_priced_steps
-    (p_lvl, p_of), (h_lvl, h_of) = graph.output_levels
+    (p_lvl, _), (h_lvl, _) = graph.output_levels
     with np.errstate(divide="ignore", invalid="ignore"):
         spike_p = np.where(mset.spike_power[:n], mset.mu1 / mset.delta_p[:n], 0.0)
         spike_h = np.where(mset.spike_heat[:n], mset.mu1 / mset.delta_h[:n], 0.0)
-        xp = p_dem[None, :] - p_lvl[:, None]
-        p_gain = tariff.power_cost_block(xp + spike_p[None, :], 0)
-        p_gain -= tariff.power_cost_block(xp, 0)
-        p_gain[:, ~mset.spike_power[:n]] = 0.0
-        xh = h_dem[None, :] - h_lvl[:, None]
-        h_gain = tariff.heat_cost_block(xh + spike_h[None, :], 0)
-        h_gain -= tariff.heat_cost_block(xh, 0)
-        h_gain[:, ~mset.spike_heat[:n]] = 0.0
 
-    def step_gain(rows: np.ndarray) -> np.ndarray:
+    def gain(cost_block, dem, lvl, spike, on, a: int, b: int) -> np.ndarray:
+        x = dem[None, a:b] - lvl[:, None]
         with np.errstate(invalid="ignore"):
-            gain = np.maximum(p_gain[p_of[rows]], h_gain[h_of[rows]])
-        # forbidden-sell steps price as inf - inf; those edges are dead anyway
-        gain[~np.isfinite(gain)] = 0.0
-        return gain
+            g = cost_block(x + spike[None, a:b], a)
+            g -= cost_block(x, a)
+        g[:, ~on[a:b]] = 0.0
+        # an infinite cost is a forbidden export, which puts +inf on the edge's bias
+        g[~np.isfinite(g)] = 0.0
+        return g.T
 
-    w_spike = _fold_spans(graph, step_gain, np.maximum, np.zeros(graph.n_templates), 0.0)
+    def step_gains(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        return (gain(tariff.power_cost_block, p_dem, p_lvl, spike_p, mset.spike_power, a, b),
+                gain(tariff.heat_cost_block, h_dem, h_lvl, spike_h, mset.spike_heat, a, b))
+
+    w_spike = _fold_layers(graph, step_gains, np.maximum, np.zeros(graph.n_templates), 0.0)
     w_spike[~np.isfinite(w_bias)] = 0.0
     return EdgeCosts(w_bias=w_bias, w_spike=w_spike)
 

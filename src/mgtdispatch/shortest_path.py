@@ -2,15 +2,16 @@
 
 The plain problem is the spike-restricted one with zero spikes and no
 budget, and both kernels share its two halves: one backward layer
-relaxation (_relax) and one forward walk (_walk). Template k has no edge at
-layer t when t + dur[k] > horizon - 1; the relaxation reads that slot as
-+inf whatever the weight array holds. The walk starts at the initial state
-with the smallest (value, max spike, index) and always steps to the
-smallest (head time, head state, template) successor whose candidate value
-reproduces the stored optimum exactly without exceeding the start's max
-spike, so the returned path is the lexicographically smallest node sequence
-among the optimal ones and its right-fold cost equals the DP value bit for
-bit.
+relaxation (_relax) and one forward walk (_walk). Edge costs are
+(horizon, templates) arrays, so each layer relaxes one contiguous row.
+Template k has no edge at layer t when t + dur[k] > horizon - 1; the
+relaxation reads that slot as +inf whatever the weight array holds. The
+walk starts at the initial state with the smallest (value, max spike,
+index) and always steps to the smallest (head time, head state, template)
+successor whose candidate value reproduces the stored optimum exactly
+without exceeding the start's max spike, so the returned path is the
+lexicographically smallest node sequence among the optimal ones and its
+right-fold cost equals the DP value bit for bit.
 
 The restricted kernel drops every edge whose spike cost exceeds a budget
 alpha and optimizes the pair (sum of bias costs, max spike along the path)
@@ -50,8 +51,8 @@ class PathResult:
 _INFEASIBLE = PathResult(False, (), (), INF, INF)
 
 
-def _relax(graph: DispatchGraph, wcol: np.ndarray, b: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Set b[t] to each state's min over its templates of wcol + b[head].
+def _relax(graph: DispatchGraph, wrow: np.ndarray, b: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Set b[t] to each state's min over its templates of wrow + b[head].
 
     Templates with no edge at layer t read +inf. Returns each template's
     flat head index into b and the candidates in tail order.
@@ -61,9 +62,9 @@ def _relax(graph: DispatchGraph, wcol: np.ndarray, b: np.ndarray, t: int) -> tup
     # the clamp only keeps absent templates in bounds
     idx = np.minimum(t * s + graph.head_offsets, graph.horizon * s - 1)
     if t + graph.duration_groups[-1][0] > last:
-        wcol = np.where(graph.dur > last - t, INF, wcol)
+        wrow = np.where(graph.dur > last - t, INF, wrow)
     order, starts, out_states, _ = graph.tail_groups
-    cand = (wcol + b.reshape(-1)[idx])[order]
+    cand = (wrow + b.reshape(-1)[idx])[order]
     b[t, out_states] = np.minimum.reduceat(cand, starts)
     return idx, cand
 
@@ -82,10 +83,10 @@ def _walk(graph: DispatchGraph, b: np.ndarray, b_aux: np.ndarray, w: np.ndarray,
     while t < last:
         target = b[t, x]
         for d, head, k in graph.successors[x]:
-            if t + d > last or spike[k, t] > alpha:
+            if t + d > last or spike[t, k] > alpha:
                 continue
             # each accepted spike is <= target_aux, so the path's max spike is target_aux
-            if w[k, t] + b[t + d, head] == target and not max(spike[k, t], b_aux[t + d, head]) > target_aux:
+            if w[t, k] + b[t + d, head] == target and not max(spike[t, k], b_aux[t + d, head]) > target_aux:
                 break
         else:
             raise RuntimeError(f"walk lost the optimum at layer {t}, state {x}")
@@ -96,17 +97,17 @@ def _walk(graph: DispatchGraph, b: np.ndarray, b_aux: np.ndarray, w: np.ndarray,
 
 
 def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
-    """Min-cost s->q path for a (templates, horizon) weight array."""
-    if weights.shape != (graph.n_templates, graph.horizon):
+    """Min-cost s->q path for a (horizon, templates) weight array."""
+    if weights.shape != (graph.horizon, graph.n_templates):
         raise ValueError(
             f"weights shape {weights.shape} does not match "
-            f"({graph.n_templates}, {graph.horizon})"
+            f"({graph.horizon}, {graph.n_templates})"
         )
     last = graph.horizon - 1
     b = np.full((graph.horizon, graph.n_states), INF, dtype=np.float64)
     b[last, graph.final_mask] = 0.0
     for t in range(last - 1, -1, -1):
-        _relax(graph, weights[:, t], b, t)
+        _relax(graph, weights[t], b, t)
     # zero spikes and no budget, as read-only views that allocate nothing
     return _walk(graph, b, np.broadcast_to(0.0, b.shape), weights, np.broadcast_to(0.0, weights.shape), INF)
 
@@ -121,7 +122,7 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
     if not alpha >= 0.0:
         raise ValueError(f"spike budget alpha must be >= 0, got {alpha!r}")
     wb, ws = costs.w_bias, costs.w_spike
-    if wb.shape != (graph.n_templates, graph.horizon):
+    if wb.shape != (graph.horizon, graph.n_templates):
         raise ValueError("edge costs do not match this graph")
     last = graph.horizon - 1
     order, starts, out_states, tails_sorted = graph.tail_groups
@@ -132,9 +133,9 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
     b_aux[last, graph.final_mask] = 0.0
     ba_flat = b_aux.reshape(-1)
     for t in range(last - 1, -1, -1):
-        idx, cs = _relax(graph, np.where(ws[:, t] > alpha, INF, wb[:, t]), b_cost, t)
+        idx, cs = _relax(graph, np.where(ws[t] > alpha, INF, wb[t]), b_cost, t)
         # second pass: min max-spike among cost-optimal continuations
-        cand_aux = np.maximum(ws[:, t], ba_flat[idx])[order]
+        cand_aux = np.maximum(ws[t], ba_flat[idx])[order]
         on_opt = cs == b_cost[t, tails_sorted]
         b_aux[t, out_states] = np.minimum.reduceat(np.where(on_opt, cand_aux, INF), starts)
     return _walk(graph, b_cost, b_aux, wb, ws, alpha)

@@ -70,17 +70,19 @@ class PiecewiseLinearCost:
         x = np.asarray(x, dtype=np.float64)
         total = np.full(x.shape, self.value0, dtype=np.float64)
         bps, sl = self.breakpoints, self.slopes
+        w = np.empty_like(total)
         for i, s in enumerate(sl):
             hi = bps[i + 1] if i + 1 < len(bps) else INF
-            w = np.minimum(x, hi) - bps[i]
+            np.minimum(x, hi, out=w)
+            w -= bps[i]
             np.maximum(w, 0.0, out=w)
-            total += s * w
+            w *= s
+            total += w
         if self.neg_slope is None:
-            total[x < 0.0] = INF
-        else:
-            neg = x < 0.0
-            total[neg] = self.value0 + self.neg_slope * x[neg]
-        return total
+            return np.where(x < 0.0, INF, total)
+        np.multiply(x, self.neg_slope, out=w)
+        w += self.value0
+        return np.where(x < 0.0, w, total)
 
     def slope_sequence(self) -> tuple[float, ...]:
         """Slopes left to right across the whole domain (sell branch first)."""
@@ -121,8 +123,9 @@ class Tariff:
     def power_cost_block(self, x: np.ndarray, t0: int) -> np.ndarray:
         """Evaluate power cost for a (rows, width) block of exchanges.
 
-        Column j of x belongs to step t0 + j. Groups columns by distinct
-        cost function, so TOU tariffs cost two evaluations per block.
+        Column j of x belongs to step t0 + j. Evaluates each run of steps
+        sharing one cost function as a slice, so a TOU day costs an
+        evaluation per peak or off-peak window.
         """
         return _eval_block(x, self.power_functions, self.power_index, t0)
 
@@ -132,12 +135,11 @@ class Tariff:
 
 def _eval_block(x: np.ndarray, functions, index: np.ndarray, t0: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    width = x.shape[-1]
-    idx = index[t0:t0 + width]
+    idx = index[t0:t0 + x.shape[-1]]
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
     out = np.empty_like(x)
-    for fi in np.unique(idx):
-        cols = np.nonzero(idx == fi)[0]
-        out[..., cols] = functions[fi].value_array(x[..., cols])
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(idx)]):
+        out[..., a:b] = functions[idx[a]].value_array(x[..., a:b])
     return out
 
 

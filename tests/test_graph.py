@@ -1,10 +1,12 @@
 """Time-expanded graph construction and edge-cost evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mgtdispatch import graph as graph_module
 from mgtdispatch import (
     DemandProfile,
     Edge,
@@ -129,8 +131,8 @@ def test_demand_length_contract(tiny_graph, tiny_tariff):
     for n in (4, 5):
         d = DemandProfile([14.0] * n, [20.0] * n)
         w = scenario_weights(tiny_graph, d, tiny_tariff)
-        assert w.shape == (6, 5)
-        assert (w[:, 4] == INF).all()  # no edge may start on the last layer
+        assert w.shape == (5, 6)
+        assert (w[4] == INF).all()  # no edge may start on the last layer
     with pytest.raises(ValueError, match="demand"):
         scenario_weights(tiny_graph, DemandProfile([14.0] * 3, [20.0] * 3), tiny_tariff)
 
@@ -141,6 +143,19 @@ def test_tariff_shape_contract(tiny_graph):
         scenario_weights(tiny_graph, d, flat_tariff(3, 15.0, 0.5, None, 0.1))
     with pytest.raises(ValueError, match="tariff"):
         scenario_weights(tiny_graph, d, flat_tariff(4, 900.0, 0.5, None, 0.1))
+
+
+def _synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4):
+    """(graph, forecast, {sell option: tariff}) for the synthetic plant on a seeded day."""
+    step_s = 15.0
+    day = synthetic_day(np.random.default_rng(7), horizon - 1, step_s)
+    fc = Forecast(day.power_kw, day.heat_kw, np.maximum(0.08 * day.power_kw, 0.5),
+                  np.maximum(0.08 * day.heat_kw, 0.5))
+    g = build_graph(synth_c65_like(n_speeds, n_valves, SynthConfig(step_seconds=step_s)), horizon)
+    return g, fc, {sell: tou_tariff(TouConfig(step_seconds=step_s, horizon_steps=horizon - 1,
+                                              buy_peak_per_kwh=0.30, buy_offpeak_per_kwh=0.12,
+                                              sell_per_kwh=sell, heat_buy_per_kwh=0.0725))
+                   for sell in (0.05, "forbidden")}
 
 
 def _random_cases(rng, n: int):
@@ -154,25 +169,41 @@ def _random_cases(rng, n: int):
         inst = random_instance(rng)
         g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
         yield g, inst["forecast"], inst["tariff"]
-    horizon, step_s = 41, 15.0
-    day = synthetic_day(np.random.default_rng(7), horizon - 1, step_s)
-    fc = Forecast(day.power_kw, day.heat_kw, np.maximum(0.08 * day.power_kw, 0.5),
-                  np.maximum(0.08 * day.heat_kw, 0.5))
-    g = build_graph(synth_c65_like(3, 4, SynthConfig(step_seconds=step_s)), horizon)
-    for sell in (0.05, "forbidden"):
-        yield g, fc, tou_tariff(TouConfig(step_seconds=step_s, horizon_steps=horizon - 1,
-                                          buy_peak_per_kwh=0.30, buy_offpeak_per_kwh=0.12,
-                                          sell_per_kwh=sell, heat_buy_per_kwh=0.0725))
+    g, fc, tariffs = _synth_plant(41)
+    for tariff in tariffs.values():
+        yield g, fc, tariff
+
+
+def _check_weights(g, d, tariff) -> int:
+    """Assert scenario_weights equals edge_weight on every edge; count the +inf ones."""
+    w = scenario_weights(g, d, tariff)
+    assert w.shape == (g.horizon, g.n_templates)
+    n_inf = 0
+    for e in g.edges():
+        assert w[e.time, e.template] == edge_weight(g, e, d, tariff)
+        n_inf += w[e.time, e.template] == INF
+    return n_inf
+
+
+def _check_bias_spike(g, mset, tariff) -> int:
+    """Assert bias_spike_costs equals edge_bias_spike on every edge; count the dead ones."""
+    costs = bias_spike_costs(g, mset, tariff)
+    n_dead = 0
+    for e in g.edges():
+        wb, ws = edge_bias_spike(g, e, mset, tariff)
+        assert costs.w_bias[e.time, e.template] == wb
+        assert costs.w_spike[e.time, e.template] == ws
+        assert ws >= 0.0
+        if wb == INF:
+            assert ws == 0.0
+            n_dead += 1
+    return n_dead
 
 
 def test_block_weights_match_scalar_eval():
     checked_inf = 0
     for g, fc, tariff in _random_cases(np.random.default_rng(23), 25):
-        d = DemandProfile(fc.mu_power, fc.mu_heat)
-        w = scenario_weights(g, d, tariff)
-        for e in g.edges():
-            assert w[e.template, e.time] == edge_weight(g, e, d, tariff)
-            checked_inf += w[e.template, e.time] == INF
+        checked_inf += _check_weights(g, DemandProfile(fc.mu_power, fc.mu_heat), tariff)
     assert checked_inf > 0
 
 
@@ -181,17 +212,34 @@ def test_bias_spike_block_matches_scalar():
     checked_inf = 0
     for g, fc, tariff in _random_cases(rng, 25):
         mset = mixed_set(fc, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 3.0)))
-        tariff = convexify(tariff)
-        costs = bias_spike_costs(g, mset, tariff)
-        for e in g.edges():
-            wb, ws = edge_bias_spike(g, e, mset, tariff)
-            assert costs.bias_of(e) == wb
-            assert costs.spike_of(e) == ws
-            assert ws >= 0.0
-            if wb == INF:
-                assert ws == 0.0
-                checked_inf += 1
+        checked_inf += _check_bias_spike(g, mset, convexify(tariff))
     assert checked_inf > 0
+
+
+def test_layer_blocks_split_edge_spans(monkeypatch):
+    # blocks of 3 layers: the 12- and 24-step spans straddle many block
+    # edges and the 40 priced steps end in a one-layer block
+    g, fc, tariffs = _synth_plant(41)
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 3 * g.n_templates + 1)
+    n_inf = n_dead = 0
+    for tariff in tariffs.values():
+        n_inf += _check_weights(g, DemandProfile(fc.mu_power, fc.mu_heat), tariff)
+        n_dead += _check_bias_spike(g, mixed_set(fc, 0.5, 2.0), tariff)
+    assert n_inf > 0 and n_dead > 0
+
+
+def test_scenario_weights_peak_memory():
+    # the 30x50 bench plant at T = 361 gives a 37.6 MB weight array; pricing
+    # and folding a block of layers at a time keeps the rest to a few MB
+    g, fc, tariffs = _synth_plant(361, 30, 50)
+    tracemalloc.start()
+    try:
+        w = scenario_weights(g, DemandProfile(fc.mu_power, fc.mu_heat), tariffs[0.05])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.nbytes >= 20e6
+    assert peak <= 1.25 * w.nbytes + 4e6, f"peak {peak / 1e6:.1f} MB for a {w.nbytes / 1e6:.1f} MB array"
 
 
 def test_bias_spike_frozen_values():

@@ -65,7 +65,7 @@ def test_total_is_exact_right_fold():
         n_feasible += 1
         total = 0.0
         for e in reversed(res.edges):
-            total = w[e.template, e.time] + total
+            total = w[e.time, e.template] + total
         assert res.total == total
     assert n_feasible >= 20
 
@@ -76,9 +76,9 @@ def test_ties_break_to_lexicographically_smallest_nodes():
         inst = random_instance(rng)
         g = build_graph(inst["model"], inst["horizon"],
                         initial=inst["initial"], final=inst["final"])
-        w = np.full((g.n_templates, g.horizon), INF)
+        w = np.full((g.horizon, g.n_templates), INF)
         for e in g.edges():
-            w[e.template, e.time] = 0.0
+            w[e.time, e.template] = 0.0
         res = shortest_path_dag(g, w)
         init = None if inst["initial"] == "any" else [inst["initial"]]
         fin = None if inst["final"] == "any" else [inst["final"]]
@@ -102,12 +102,12 @@ def _two_arm_graph():
 
 def test_restricted_hand_case():
     g = _two_arm_graph()
-    w_bias = np.full((4, 2), INF)
-    w_spike = np.zeros((4, 2))
+    w_bias = np.full((2, 4), INF)
+    w_spike = np.zeros((2, 4))
     w_bias[0, 0] = 5.0
-    w_bias[1, 0] = 5.0
+    w_bias[0, 1] = 5.0
     w_spike[0, 0] = 3.0
-    w_spike[1, 0] = 1.0
+    w_spike[0, 1] = 1.0
     costs = EdgeCosts(w_bias, w_spike)
 
     # equal bias: the smaller spike must win the tie even though the b-arm
@@ -139,11 +139,11 @@ def _check_restricted(rng, edge_costs, budget) -> tuple[bool, bool]:
     inst = random_instance(rng, max_horizon=6, max_states=4)
     g = build_graph(inst["model"], inst["horizon"],
                     initial=inst["initial"], final=inst["final"])
-    shape = (g.n_templates, g.horizon)
+    shape = (g.horizon, g.n_templates)
     w_bias = np.full(shape, INF)
     w_spike = np.zeros(shape)
     for e in g.edges():
-        w_bias[e.template, e.time], w_spike[e.template, e.time] = edge_costs(rng)
+        w_bias[e.time, e.template], w_spike[e.time, e.template] = edge_costs(rng)
     alpha = budget(rng)
     res = shortest_path_restricted(g, EdgeCosts(w_bias, w_spike), alpha)
 
@@ -151,13 +151,13 @@ def _check_restricted(rng, edge_costs, budget) -> tuple[bool, bool]:
     fin = None if inst["final"] == "any" else [inst["final"]]
     best, n_best = None, 0
     for wk in ref_walks(inst["model"], inst["horizon"], init, fin):
-        idx = [(g.model.transitions.index(tr), t) for t, tr in wk]
-        if any(w_spike[k, t] > alpha for k, t in idx):
+        idx = [(t, g.model.transitions.index(tr)) for t, tr in wk]
+        if any(w_spike[t, k] > alpha for t, k in idx):
             continue
         total = 0.0
-        for k, t in reversed(idx):
-            total = w_bias[k, t] + total
-        aux = max((w_spike[k, t] for k, t in idx), default=0.0)
+        for t, k in reversed(idx):
+            total = w_bias[t, k] + total
+        aux = max((w_spike[t, k] for t, k in idx), default=0.0)
         key = (total, aux, _ref_nodes(wk, inst["horizon"]))
         if best is None or key[:2] < best[:2]:
             n_best = 0
@@ -171,7 +171,7 @@ def _check_restricted(rng, edge_costs, budget) -> tuple[bool, bool]:
     assert res.total == best[0]
     assert res.aux_max == best[1]
     assert list(res.nodes) == best[2]
-    assert all(w_spike[e.template, e.time] <= alpha for e in res.edges)
+    assert all(w_spike[e.time, e.template] <= alpha for e in res.edges)
     return True, n_best > 1
 
 
@@ -199,7 +199,7 @@ def test_dag_is_restricted_without_spikes():
         inst = random_instance(rng)
         g = build_graph(inst["model"], inst["horizon"],
                         initial=inst["initial"], final=inst["final"])
-        shape = (g.n_templates, g.horizon)
+        shape = (g.horizon, g.n_templates)
         w = np.where(rng.random(shape) < 0.2, INF, rng.integers(0, 3, shape).astype(float))
         res = shortest_path_dag(g, w)
         assert res == shortest_path_restricted(g, EdgeCosts(w, np.zeros(shape)), INF)
@@ -209,7 +209,7 @@ def test_dag_is_restricted_without_spikes():
 
 def test_single_layer_path_is_empty():
     g = build_graph(cooldown_example(), 1)
-    res = shortest_path_dag(g, np.zeros((6, 1)))
+    res = shortest_path_dag(g, np.zeros((1, 6)))
     assert res.feasible
     assert res.total == 0.0
     assert res.edges == ()
@@ -217,8 +217,9 @@ def test_single_layer_path_is_empty():
 
 
 def test_weight_shape_is_checked(tiny_graph):
+    # (templates, horizon) is the transposed layout
     with pytest.raises(ValueError, match="shape"):
-        shortest_path_dag(tiny_graph, np.zeros((6, 4)))
+        shortest_path_dag(tiny_graph, np.zeros((6, 5)))
 
 
 def test_kernels_ignore_weights_of_absent_edges():
@@ -227,7 +228,7 @@ def test_kernels_ignore_weights_of_absent_edges():
     model = synth_c65_like(3, 4)
     for horizon in (5, 12, 41):
         g = build_graph(model, horizon)
-        absent = np.arange(horizon)[None, :] + g.dur[:, None] > horizon - 1
+        absent = np.arange(horizon)[:, None] + g.dur[None, :] > horizon - 1
         assert absent.any()
         for seed in range(50):
             rng = np.random.default_rng(seed)

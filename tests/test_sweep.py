@@ -119,12 +119,12 @@ def test_pruned_matches_full_on_tied_integer_costs():
     for _ in range(150):
         inst = random_instance(rng, max_horizon=7, max_states=4)
         g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
-        shape = (g.n_templates, g.horizon)
+        shape = (g.horizon, g.n_templates)
         w_bias = np.full(shape, INF)
         w_spike = np.zeros(shape)
         for e in g.edges():
-            w_bias[e.template, e.time] = float(rng.integers(0, 4))
-            w_spike[e.template, e.time] = float(rng.integers(0, 5))
+            w_bias[e.time, e.template] = float(rng.integers(0, 4))
+            w_spike[e.time, e.template] = float(rng.integers(0, 5))
         costs = EdgeCosts(w_bias, w_spike)
         for thresholds in (np.unique(np.append(costs.finite_spike_values(), 0.0)),
                            np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 4)):
@@ -152,11 +152,11 @@ def test_grid_winner_with_spike_between_grid_points():
     # B(6) + 3 = 12: a bound built on the next grid point above a_lo would
     # skip budget 3 and return C. The a_lo bound, B(6) + 0 = 9, solves it.
     g = build_graph(cooldown_example(), 2)
-    shape = (g.n_templates, g.horizon)
+    shape = (g.horizon, g.n_templates)
     w_bias = np.full(shape, INF)
     w_spike = np.zeros(shape)
     for k, bias, spike in ((0, 9.0, 5.0), (2, 9.5, 1.0), (3, 11.0, 0.0)):
-        w_bias[k, 0], w_spike[k, 0] = bias, spike
+        w_bias[0, k], w_spike[0, k] = bias, spike
     costs = EdgeCosts(w_bias, w_spike)
     thresholds = np.array([0.0, 3.0, 6.0])
     want = full_sweep(g, costs, thresholds)

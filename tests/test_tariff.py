@@ -119,20 +119,32 @@ def test_vector_scalar_bit_parity():
             assert fn.value(float(x)) == v  # exact, not approx
 
 
+def _check_block_eval(t, x, t0: int) -> None:
+    pb = t.power_cost_block(x, t0)
+    hb = t.heat_cost_block(x, t0)
+    assert pb.shape == hb.shape == x.shape
+    for r in range(x.shape[0]):
+        for j in range(x.shape[1]):
+            assert pb[r, j] == t.power_fn(t0 + j).value(float(x[r, j]))
+            assert hb[r, j] == t.heat_fn(t0 + j).value(float(x[r, j]))
+
+
 def test_block_eval_matches_scalar():
     rng = np.random.default_rng(7)
     from instances import random_tariff
 
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        t = random_tariff(rng, n)
-        x = rng.uniform(-10.0, 40.0, (5, n))
-        pb = t.power_cost_block(x, 0)
-        hb = t.heat_cost_block(x, 0)
-        for r in range(5):
-            for j in range(n):
-                assert pb[r, j] == t.power_fn(j).value(float(x[r, j]))
-                assert hb[r, j] == t.heat_fn(j).value(float(x[r, j]))
+        _check_block_eval(random_tariff(rng, n), rng.uniform(-10.0, 40.0, (5, n)), 0)
+    # half-hour steps over 30 h with a peak window wrapping midnight: the
+    # power index runs peak, off-peak, peak
+    for sell in ("forbidden", 0.05):
+        t = tou_tariff(TouConfig(step_seconds=1800.0, horizon_steps=60, buy_peak_per_kwh=0.3,
+                                 buy_offpeak_per_kwh=0.1, peak_start_hour=20.0, peak_end_hour=6.0,
+                                 sell_per_kwh=sell, heat_buy_per_kwh=0.07))
+        assert np.count_nonzero(np.diff(t.power_index)) == 2
+        for t0, width in ((0, 60), (0, 13), (11, 30), (39, 21), (59, 1), (60, 0)):
+            _check_block_eval(t, rng.uniform(-10.0, 40.0, (4, width)), t0)
 
 
 def test_monotone_for_nonnegative_slopes():

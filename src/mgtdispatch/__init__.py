@@ -58,8 +58,6 @@ from .schedule import (
 from .shortest_path import PathResult, shortest_path_dag, shortest_path_restricted
 from .solvers import (
     RobustSolution,
-    brute_force_oracle,
-    enumerate_paths,
     path_cost_at,
     path_worstcase_cost,
     solve_box,
@@ -73,7 +71,6 @@ from .tariff import (
     Tariff,
     TouConfig,
     check_convexity,
-    convexify,
     flat_tariff,
     is_convex,
     load_tariff,
@@ -106,18 +103,15 @@ __all__ = [
     "bias_profile",
     "bias_spike_costs",
     "box_set",
-    "brute_force_oracle",
     "build_four_season_pack",
     "build_graph",
     "build_schedule",
     "check_convexity",
     "compare_day",
-    "convexify",
     "cooldown_example",
     "dump_graph",
     "edge_bias_spike",
     "edge_weight",
-    "enumerate_paths",
     "flat_tariff",
     "forecast_from_history",
     "is_convex",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .demand import DemandProfile, MixedSet, bias_profile
 from .model import TurbineModel, validate_model
-from .tariff import Tariff, is_convex, require_monotone
+from .tariff import Tariff, check_convexity, require_monotone
 
 INF = float("inf")
 
@@ -320,7 +320,8 @@ class EdgeCosts:
     be used, including an edge that must export at the lower corner on a
     forbidden-sell step); w_spike[t, k] >= 0 is the worst single-spike
     increment over the edge's span. Edges with infinite bias get
-    w_spike = 0 and are skipped when threshold grids are built.
+    w_spike = 0, so w_spike holds exactly the usable edges' spike values
+    and 0, and the budget grids are read off it whole.
     """
 
     w_bias: np.ndarray
@@ -393,8 +394,9 @@ def edge_weight(graph: DispatchGraph, edge: Edge, demand: DemandProfile, tariff:
 
 def _check_mixed_tariff(tariff: Tariff) -> None:
     # the bias/spike decomposition needs convex costs that never fall as demand rises
-    if not is_convex(tariff):
-        raise ValueError("mixed-set costs need a convex tariff; run convexify() to opt into the envelope")
+    bends = check_convexity(tariff)
+    if bends:
+        raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
     require_monotone(tariff)
 
 

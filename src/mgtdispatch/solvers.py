@@ -35,7 +35,6 @@ import numpy as np
 from .demand import BoxSet, DemandProfile, MixedSet, bias_profile, worst_corner
 from .graph import (
     DispatchGraph,
-    Edge,
     EdgeCosts,
     _check_mixed_tariff,
     _drop_forced_export,
@@ -50,8 +49,8 @@ from .shortest_path import PathResult, shortest_path_dag, shortest_path_restrict
 from .tariff import require_monotone
 
 INF = float("inf")
-# the multiplicative ladder may always hold this many rungs: it builds in
-# milliseconds, so a small plant keeps a fine ladder over few spike values
+# a thinned grid may always hold this many budgets: it builds in
+# milliseconds, so a small plant keeps a fine grid over few spike values
 _RUNG_FLOOR = 10_000
 
 
@@ -232,14 +231,27 @@ def _finish_mixed(graph, mset, tariff, costs: EdgeCosts, thresholds: np.ndarray,
     return RobustSolution(algorithm, path, cost, scenario, solves, alpha, len(thresholds))
 
 
+def _check_grid_size(costs: EdgeCosts, size: float, asked: str) -> None:
+    """Refuse a thinned grid of more budgets than both _RUNG_FLOOR and the usable edges.
+
+    The exact sweep never needs more budgets than there are usable edges,
+    so a larger grid only costs memory and time.
+    """
+    if size > _RUNG_FLOOR:
+        n_spikes = int(np.count_nonzero(np.isfinite(costs.w_bias)))
+        if size > n_spikes:
+            raise ValueError(f"{asked} asks for {size:.0f} budget rungs, more than the {n_spikes} edge "
+                             "spike values the exact sweep would try; use a coarser grid or the exact sweep")
+
+
 def solve_mixed_exact(graph: DispatchGraph, mset: MixedSet, tariff) -> RobustSolution:
     """Exact mixed-set solve: sweep every distinct edge spike cost.
 
-    Zero is always swept (the zero-weight terminal hops make it a valid
-    budget).
+    Zero is always swept: the last layer holds no edge, and an absent edge
+    carries spike 0.
     """
     costs = bias_spike_costs(graph, mset, tariff)
-    thresholds = np.unique(np.append(costs.finite_spike_values(), 0.0))
+    thresholds = np.unique(costs.w_spike)
     return _finish_mixed(graph, mset, tariff, costs, thresholds, "mixed-exact")
 
 
@@ -252,9 +264,10 @@ def solve_mixed_additive(
 ) -> RobustSolution:
     """Mixed-set solve on an evenly spaced budget grid.
 
-    With epsilon the grid is {min, min+eps, ...} up to and including the max
+    With epsilon the grid is {0, eps, 2 eps, ...} up to and including the max
     spike value, guaranteeing a cost within +epsilon of the exact optimum.
-    With grid_n it is exactly grid_n evenly spaced budgets instead.
+    With grid_n it is exactly grid_n evenly spaced budgets instead. A grid
+    larger than the exact sweep's (and than _RUNG_FLOOR) is refused.
     """
     if (epsilon is None) == (grid_n is None):
         raise ValueError("the additive sweep needs exactly one of epsilon or grid_n")
@@ -263,13 +276,13 @@ def solve_mixed_additive(
     if epsilon is not None and not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     costs = bias_spike_costs(graph, mset, tariff)
-    vals = np.append(costs.finite_spike_values(), 0.0)
-    lo = float(vals.min())
-    hi = float(vals.max())
+    hi = float(costs.w_spike.max())
     if grid_n is not None:
-        thresholds = np.linspace(lo, hi, grid_n) if grid_n > 1 else np.array([hi])
+        _check_grid_size(costs, grid_n, f"grid_n={grid_n!r}")
+        thresholds = np.linspace(0.0, hi, grid_n) if grid_n > 1 else np.array([hi])
     else:
-        thresholds = np.unique(np.append(np.arange(lo, hi, epsilon), hi))
+        _check_grid_size(costs, np.ceil(hi / epsilon) + 1, f"epsilon={epsilon!r}")
+        thresholds = np.unique(np.append(np.arange(0.0, hi, epsilon), hi))
     return _finish_mixed(graph, mset, tariff, costs, thresholds, "mixed-additive")
 
 
@@ -279,26 +292,22 @@ def solve_mixed_multiplicative(graph: DispatchGraph, mset: MixedSet, tariff, mu:
     Guarantees a cost within factor 1 + mu of the exact optimum. Budget 0 is
     always included; the geometric ladder starts at the smallest positive
     spike value and is capped by the largest. A mu whose ladder would have
-    more rungs than there are edge spike values (and more than
-    _RUNG_FLOOR) is refused: the exact sweep never needs more budgets than
-    that, and the ladder is built one rung at a time.
+    more rungs than the exact sweep has budgets (and than _RUNG_FLOOR) is
+    refused, since the ladder is built one rung at a time.
     """
     if mu is None or not mu > 0:
         raise ValueError(f"the multiplicative sweep needs mu > 0, got {mu!r}")
     if 1.0 + mu == 1.0:
         raise ValueError(f"the multiplicative sweep needs 1 + mu > 1, got mu={mu!r}")
     costs = bias_spike_costs(graph, mset, tariff)
-    vals = costs.finite_spike_values()
-    positive = vals[vals > 0]
-    if positive.size == 0:
+    spikes = costs.w_spike
+    hi = float(spikes.max())
+    if hi == 0.0:
         thresholds = np.array([0.0])
     else:
-        lo = float(positive.min())
-        hi = float(positive.max())
+        lo = float(spikes.min(where=spikes > 0.0, initial=INF))
         rungs = math.ceil((math.log(hi) - math.log(lo)) / math.log1p(mu))
-        if rungs > max(vals.size, _RUNG_FLOOR):
-            raise ValueError(f"mu={mu!r} asks for {rungs} budget rungs, more than the {vals.size} edge "
-                             "spike values the exact sweep would try; use a larger mu or the exact sweep")
+        _check_grid_size(costs, rungs, f"mu={mu!r}")
         ladder = [lo]
         while ladder[-1] < hi:
             ladder.append(ladder[-1] * (1.0 + mu))
@@ -321,66 +330,3 @@ def _solve_mixed(graph: DispatchGraph, mset: MixedSet, tariff, mode: str, *,
         return solve_mixed_multiplicative(graph, mset, tariff, mu)
     raise ValueError(f"unknown mixed mode {mode!r}")
 
-
-def enumerate_paths(graph: DispatchGraph, limit: int = 200_000):
-    """Yield (start state index, edge list) for every s->q path.
-
-    Paths come out in lexicographic node-sequence order. The edge list is
-    empty for the horizon-1 degenerate paths.
-    """
-    last = graph.horizon - 1
-    count = 0
-
-    def successors(t: int, x: int):
-        out = []
-        for k in graph.templates_by_tail[x]:
-            d = int(graph.dur[k])
-            if t + d <= last:
-                out.append((t + d, int(graph.head[k]), int(k)))
-        out.sort()
-        return out
-
-    def walk(start: int, t: int, x: int, acc: list[Edge]):
-        nonlocal count
-        if t == last:
-            if graph.final_mask[x]:
-                count += 1
-                if count > limit:
-                    raise ValueError(f"more than {limit} paths; raise the limit or shrink the instance")
-                yield start, list(acc)
-            return
-        for t2, x2, k in successors(t, x):
-            acc.append(Edge(t, k))
-            yield from walk(start, t2, x2, acc)
-            acc.pop()
-
-    for x in np.nonzero(graph.initial_mask)[0]:
-        yield from walk(int(x), 0, int(x), [])
-
-
-def _path_result_from_edges(graph: DispatchGraph, edges: list[Edge], start_state: int) -> PathResult:
-    nodes = [(0, graph.model.states[start_state])]
-    for e in edges:
-        nodes.append(graph.head_node(e))
-    return PathResult(True, tuple(edges), tuple(nodes), 0.0, 0.0)
-
-
-def brute_force_oracle(graph: DispatchGraph, uset, tariff, limit: int = 200_000) -> RobustSolution:
-    """Exhaustive reference solver: evaluate every path's worst case.
-
-    Only for small instances; raises once `limit` paths are exceeded. Ties
-    keep the first (lexicographically smallest) path.
-    """
-    best = None
-    for start, edges in enumerate_paths(graph, limit):
-        pr = _path_result_from_edges(graph, edges, start)
-        total, spike, scenario = _worstcase_parts(graph, pr, uset, tariff)
-        cost = float(total + spike)
-        if best is None or cost < best[0]:
-            best = (cost, pr, total, spike, scenario)
-    algorithm = "brute-force"
-    if best is None or best[0] == INF:
-        return _infeasible(algorithm)
-    cost, pr, total, spike, scenario = best
-    pr = PathResult(True, pr.edges, pr.nodes, total, spike)
-    return RobustSolution(algorithm, pr, cost, scenario)

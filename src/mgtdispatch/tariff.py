@@ -32,15 +32,12 @@ class PiecewiseLinearCost:
     neg_slope prices x < 0 (None = forbidden, +inf). breakpoints must be
     ascending and start at 0.0; slopes[i] applies on
     [breakpoints[i], breakpoints[i+1]), the last slope extends to +inf.
-    value0 is the cost at x = 0; it is 0 for every tariff read from a file
-    and can become negative only through convexify(). All numbers must be
-    finite.
+    The cost at x = 0 is 0. All numbers must be finite.
     """
 
     neg_slope: float | None
     breakpoints: tuple[float, ...] = (0.0,)
     slopes: tuple[float, ...] = (0.0,)
-    value0: float = 0.0
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.slopes):
@@ -49,13 +46,13 @@ class PiecewiseLinearCost:
             raise ValueError("breakpoints must start at 0.0")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly ascending")
-        if not all(math.isfinite(v) for v in (*self.slope_sequence(), *self.breakpoints, self.value0)):
+        if not all(math.isfinite(v) for v in (*self.slope_sequence(), *self.breakpoints)):
             raise ValueError(f"cost function needs finite numbers, got {self}")
 
     def value(self, x: float) -> float:
         if x < 0.0:
-            return INF if self.neg_slope is None else self.value0 + self.neg_slope * x
-        total = self.value0
+            return INF if self.neg_slope is None else self.neg_slope * x
+        total = 0.0
         bps, sl = self.breakpoints, self.slopes
         for i, s in enumerate(sl):
             hi = bps[i + 1] if i + 1 < len(bps) else INF
@@ -68,7 +65,7 @@ class PiecewiseLinearCost:
     def value_array(self, x: np.ndarray) -> np.ndarray:
         """Vectorized value(); bit-identical to the scalar path per element."""
         x = np.asarray(x, dtype=np.float64)
-        total = np.full(x.shape, self.value0, dtype=np.float64)
+        total = np.zeros(x.shape, dtype=np.float64)
         bps, sl = self.breakpoints, self.slopes
         w = np.empty_like(total)
         for i, s in enumerate(sl):
@@ -81,7 +78,6 @@ class PiecewiseLinearCost:
         if self.neg_slope is None:
             return np.where(x < 0.0, INF, total)
         np.multiply(x, self.neg_slope, out=w)
-        w += self.value0
         return np.where(x < 0.0, w, total)
 
     def slope_sequence(self) -> tuple[float, ...]:
@@ -89,10 +85,6 @@ class PiecewiseLinearCost:
         if self.neg_slope is None:
             return self.slopes
         return (self.neg_slope,) + self.slopes
-
-    def is_convex(self) -> bool:
-        seq = self.slope_sequence()
-        return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,80 +191,6 @@ def is_convex(tariff: Tariff) -> bool:
     return not check_convexity(tariff)
 
 
-def _convex_envelope(fn: PiecewiseLinearCost) -> PiecewiseLinearCost:
-    if fn.is_convex():
-        return fn
-    right_slope = fn.slopes[-1]
-    if fn.neg_slope is not None and fn.neg_slope > right_slope:
-        raise ValueError(
-            "no finite convex envelope: sell slope exceeds the final purchase "
-            "slope, so buying bulk and selling back is an unbounded gain"
-        )
-    # lower convex hull of the breakpoint graph, then trim against both rays
-    pts = [(0.0, fn.value0)]
-    for b in fn.breakpoints[1:]:
-        pts.append((b, fn.value(b)))
-    hull: list[tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop middle point when it lies on or above the chord
-            if (y2 - y1) * (p[0] - x2) >= (p[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    while len(hull) >= 2:
-        (x1, y1), (x2, y2) = hull[-2], hull[-1]
-        if (y2 - y1) / (x2 - x1) > right_slope:
-            hull.pop()
-        else:
-            break
-    if fn.neg_slope is not None:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[0], hull[1]
-            if (y2 - y1) / (x2 - x1) < fn.neg_slope:
-                hull.pop(0)
-            else:
-                break
-    # rebuild as value-at-zero + slope segments; the sell ray may extend past
-    # x = 0 when the hull's first vertex moved right
-    left = fn.neg_slope
-    x0, y0 = hull[0]
-    breakpoints: list[float] = [0.0]
-    slopes: list[float] = []
-    if x0 > 0.0:
-        # only the left-ray trim moves the first vertex, so left is not None
-        value0 = y0 - left * x0
-        slopes.append(left)
-        breakpoints.append(x0)
-    else:
-        value0 = y0
-    for (xa, ya), (xb, yb) in zip(hull, hull[1:]):
-        slopes.append((yb - ya) / (xb - xa))
-        breakpoints.append(xb)
-    slopes.append(right_slope)
-    return PiecewiseLinearCost(left, tuple(breakpoints), tuple(slopes), value0)
-
-
-def convexify(tariff: Tariff) -> Tariff:
-    """Replace every non-convex step cost by its convex envelope.
-
-    The envelope is the lower convex hull of the function's breakpoint graph
-    together with its two end rays; it is the tightest convex function lying
-    nowhere above the original. Raises when no finite envelope exists (sell
-    rate above the final purchase rate).
-    """
-    return Tariff(
-        tariff.step_seconds,
-        tariff.horizon_steps,
-        tuple(_convex_envelope(fn) for fn in tariff.power_functions),
-        tariff.power_index,
-        tuple(_convex_envelope(fn) for fn in tariff.heat_functions),
-        tariff.heat_index,
-    )
-
-
 @dataclass(frozen=True)
 class TouConfig:
     """Time-of-use tariff: one peak window per day, flat heat price.
@@ -352,7 +270,7 @@ def tariff_to_dict(tariff: Tariff) -> dict:
     for t in range(1, tariff.horizon_steps + 1):
         if t == tariff.horizon_steps or idx[t] != idx[start]:
             fn = tariff.power_functions[idx[start]]
-            if len(fn.slopes) != 1 or fn.value0 != 0.0:
+            if len(fn.slopes) != 1:
                 raise ValueError("tariff files carry single-rate ranges only")
             per_kwh = 3600.0 / tariff.step_seconds
             ranges.append(

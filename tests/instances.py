@@ -6,7 +6,8 @@ specific initial/final picks can still be unreachable). Tariffs are drawn
 convex by construction; pass nonneg=True to exclude selling so all edge
 costs stay non-negative, or monotone=True to keep every cost function
 finite and non-decreasing on the whole real line (sell price >= 0, never
-forbidden).
+forbidden). synth_plant builds the synthetic plant on a seeded day with its
+time-of-use tariffs, for the block and memory tests.
 """
 
 from __future__ import annotations
@@ -16,9 +17,15 @@ import numpy as np
 from mgtdispatch import (
     Forecast,
     PiecewiseLinearCost,
+    SynthConfig,
     Tariff,
+    TouConfig,
     Transition,
     TurbineModel,
+    build_graph,
+    synth_c65_like,
+    synthetic_day,
+    tou_tariff,
 )
 
 
@@ -110,3 +117,16 @@ def random_instance(rng, *, nonneg=False, monotone=False,
         "initial": pick_states(),
         "final": pick_states(),
     }
+
+
+def synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4):
+    """(graph, forecast, {sell option: tariff}) for the synthetic plant on a seeded day."""
+    step_s = 15.0
+    day = synthetic_day(np.random.default_rng(7), horizon - 1, step_s)
+    fc = Forecast(day.power_kw, day.heat_kw, np.maximum(0.08 * day.power_kw, 0.5),
+                  np.maximum(0.08 * day.heat_kw, 0.5))
+    g = build_graph(synth_c65_like(n_speeds, n_valves, SynthConfig(step_seconds=step_s)), horizon)
+    return g, fc, {sell: tou_tariff(TouConfig(step_seconds=step_s, horizon_steps=horizon - 1,
+                                              buy_peak_per_kwh=0.30, buy_offpeak_per_kwh=0.12,
+                                              sell_per_kwh=sell, heat_buy_per_kwh=0.0725))
+                   for sell in (0.05, "forbidden")}

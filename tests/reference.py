@@ -20,8 +20,8 @@ def ref_pw_value(fn, x: float) -> float:
     if x < 0:
         if fn.neg_slope is None:
             return INF
-        return fn.value0 + fn.neg_slope * x
-    total = fn.value0
+        return fn.neg_slope * x
+    total = 0.0
     bps = list(fn.breakpoints) + [INF]
     for i, slope in enumerate(fn.slopes):
         lo, hi = bps[i], bps[i + 1]

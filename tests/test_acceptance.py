@@ -17,11 +17,8 @@ from mgtdispatch import (
     DemandProfile,
     bias_spike_costs,
     box_set,
-    brute_force_oracle,
     build_graph,
-    convexify,
     cooldown_example,
-    enumerate_paths,
     mixed_set,
     path_cost_at,
     path_worstcase_cost,
@@ -36,6 +33,7 @@ from mgtdispatch import (
 )
 from mgtdispatch.cli import main
 from instances import random_instance
+from oracles import brute_force_oracle, enumerate_paths
 from reference import ref_count_nodes_edges, ref_count_paths
 
 INF = float("inf")
@@ -185,7 +183,7 @@ def test_criterion_4_monotonicity_and_spikes():
             n_pairs += int(mask.sum())
         mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.0)),
                          float(rng.uniform(0.0, 2.0)))
-        costs = bias_spike_costs(g, mset, convexify(inst["tariff"]))
+        costs = bias_spike_costs(g, mset, inst["tariff"])
         assert (costs.w_spike >= 0.0).all()
         n_spikes += costs.w_spike.size
     elapsed = time.perf_counter() - t0
@@ -243,7 +241,7 @@ def test_criterion_7_robust_dominance():
         g = _build(inst)
         mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.5)),
                          float(rng.uniform(0.0, 3.0)))
-        tariff = convexify(inst["tariff"])
+        tariff = inst["tariff"]
         ex = solve_mixed_exact(g, mset, tariff)
         nom = solve_nominal(g, inst["forecast"].mean_profile(), tariff)
         if not nom.feasible:

@@ -177,6 +177,20 @@ def test_tiny_mu_exits_1(small_pack, capsys, command):
     assert "budget rungs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("grid", [["--eps", "1e-9"], ["--grid-n", "1000000000"]])
+def test_huge_additive_grid_exits_1(small_pack, capsys, command, grid):
+    # about 4e8 and 1e9 budgets: refused before the grid is allocated
+    w = small_pack / "winter"
+    if command == "solve":
+        argv = ["solve", "--model", str(small_pack / "model.json"), "--tariff", str(w / "tariff.json"),
+                "--history", str(w / "history"), "--algo", "mixed-add", *grid]
+    else:
+        argv = ["compare", "--pack", str(small_pack), "--season", "winter", *grid]
+    assert main(argv) == 1
+    assert "budget rungs" in capsys.readouterr().err
+
+
 def test_entry_point_exit_status(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 

@@ -12,12 +12,9 @@ from mgtdispatch import (
     Edge,
     Forecast,
     PiecewiseLinearCost,
-    SynthConfig,
     Tariff,
-    TouConfig,
     bias_spike_costs,
     build_graph,
-    convexify,
     cooldown_example,
     dump_graph,
     edge_bias_spike,
@@ -25,11 +22,8 @@ from mgtdispatch import (
     flat_tariff,
     mixed_set,
     scenario_weights,
-    synth_c65_like,
-    synthetic_day,
-    tou_tariff,
 )
-from instances import random_forecast, random_instance
+from instances import random_forecast, random_instance, synth_plant
 from reference import ref_count_nodes_edges
 
 INF = float("inf")
@@ -145,19 +139,6 @@ def test_tariff_shape_contract(tiny_graph):
         scenario_weights(tiny_graph, d, flat_tariff(4, 900.0, 0.5, None, 0.1))
 
 
-def _synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4):
-    """(graph, forecast, {sell option: tariff}) for the synthetic plant on a seeded day."""
-    step_s = 15.0
-    day = synthetic_day(np.random.default_rng(7), horizon - 1, step_s)
-    fc = Forecast(day.power_kw, day.heat_kw, np.maximum(0.08 * day.power_kw, 0.5),
-                  np.maximum(0.08 * day.heat_kw, 0.5))
-    g = build_graph(synth_c65_like(n_speeds, n_valves, SynthConfig(step_seconds=step_s)), horizon)
-    return g, fc, {sell: tou_tariff(TouConfig(step_seconds=step_s, horizon_steps=horizon - 1,
-                                              buy_peak_per_kwh=0.30, buy_offpeak_per_kwh=0.12,
-                                              sell_per_kwh=sell, heat_buy_per_kwh=0.0725))
-                   for sell in (0.05, "forbidden")}
-
-
 def _random_cases(rng, n: int):
     """(graph, forecast, tariff) for n random instances, then the small synthetic plant.
 
@@ -169,7 +150,7 @@ def _random_cases(rng, n: int):
         inst = random_instance(rng)
         g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
         yield g, inst["forecast"], inst["tariff"]
-    g, fc, tariffs = _synth_plant(41)
+    g, fc, tariffs = synth_plant(41)
     for tariff in tariffs.values():
         yield g, fc, tariff
 
@@ -212,14 +193,14 @@ def test_bias_spike_block_matches_scalar():
     checked_inf = 0
     for g, fc, tariff in _random_cases(rng, 25):
         mset = mixed_set(fc, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 3.0)))
-        checked_inf += _check_bias_spike(g, mset, convexify(tariff))
+        checked_inf += _check_bias_spike(g, mset, tariff)
     assert checked_inf > 0
 
 
 def test_layer_blocks_split_edge_spans(monkeypatch):
     # blocks of 3 layers: the 12- and 24-step spans straddle many block
     # edges and the 40 priced steps end in a one-layer block
-    g, fc, tariffs = _synth_plant(41)
+    g, fc, tariffs = synth_plant(41)
     monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 3 * g.n_templates + 1)
     n_inf = n_dead = 0
     for tariff in tariffs.values():
@@ -231,7 +212,7 @@ def test_layer_blocks_split_edge_spans(monkeypatch):
 def test_scenario_weights_peak_memory():
     # the 30x50 bench plant at T = 361 gives a 37.6 MB weight array; pricing
     # and folding a block of layers at a time keeps the rest to a few MB
-    g, fc, tariffs = _synth_plant(361, 30, 50)
+    g, fc, tariffs = synth_plant(361, 30, 50)
     tracemalloc.start()
     try:
         w = scenario_weights(g, DemandProfile(fc.mu_power, fc.mu_heat), tariffs[0.05])
@@ -292,12 +273,12 @@ def test_mixed_costs_reject_nonconvex_tariff(tiny_graph):
                     (heat,), np.zeros(4, dtype=np.int32))
     fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
     mset = mixed_set(fc, 1.0, 2.0)
-    with pytest.raises(ValueError, match="convexify"):
+    # the message names the first step whose slopes drop
+    first = r"4 step\(s\) are not, first t=0: power cost is non-convex \(slope drops from 1.0 to 0.2\)"
+    with pytest.raises(ValueError, match=first):
         bias_spike_costs(tiny_graph, mset, tariff)
-    with pytest.raises(ValueError, match="convexify"):
+    with pytest.raises(ValueError, match=first):
         edge_bias_spike(tiny_graph, Edge(0, 0), mset, tariff)
-    # the suggested opt-in actually unblocks the call
-    bias_spike_costs(tiny_graph, mset, convexify(tariff))
 
 
 def test_dump_graph_row_count(tiny_graph, tiny_tariff, tmp_path):

@@ -7,10 +7,8 @@ from mgtdispatch import (
     DemandProfile,
     Forecast,
     box_set,
-    brute_force_oracle,
     build_graph,
     cooldown_example,
-    enumerate_paths,
     flat_tariff,
     mixed_set,
     path_cost_at,
@@ -25,6 +23,7 @@ from mgtdispatch import (
 from mgtdispatch.demand import bias_profile
 from mgtdispatch.solvers import _solve_mixed
 from instances import random_instance
+from oracles import brute_force_oracle, enumerate_paths
 from reference import ref_solve
 
 INF = float("inf")
@@ -132,8 +131,7 @@ def test_oracle_agreement_sample():
                         initial=inst["initial"], final=inst["final"])
         mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.5)),
                          float(rng.uniform(0.0, 2.5)))
-        from mgtdispatch import convexify
-        tariff = convexify(inst["tariff"])
+        tariff = inst["tariff"]
         ex = solve_mixed_exact(g, mset, tariff)
         bf = brute_force_oracle(g, mset, tariff)
         assert ex.feasible == bf.feasible
@@ -150,8 +148,7 @@ def test_robust_dominance_sample():
         inst = random_instance(rng, max_horizon=6, max_states=4)
         g = build_graph(inst["model"], inst["horizon"],
                         initial=inst["initial"], final=inst["final"])
-        from mgtdispatch import convexify
-        tariff = convexify(inst["tariff"])
+        tariff = inst["tariff"]
         mset = mixed_set(inst["forecast"], 0.5, 1.0)
         ex = solve_mixed_exact(g, mset, tariff)
         nom = solve_nominal(g, inst["forecast"].mean_profile(), tariff)

@@ -1,12 +1,15 @@
 """The pruned budget sweep against a solve at every threshold.
 
-`full_sweep` is the unpruned loop the pruned driver replaced: one restricted
-solve per candidate, best by (score, max spike, alpha). Every mixed solver
-must return what that loop returns on the grid it built (key, threshold,
-path) while running no more restricted solves than it has candidates.
+`oracles.full_sweep` is the unpruned loop the pruned driver replaced: one
+restricted solve per candidate, best by (score, max spike, alpha). Every
+mixed solver must return what that loop returns on the grid it built (key,
+threshold, path) while running no more restricted solves than it has
+candidates. `grid_oracle` builds each grid from a copy of the finite spike
+values; the solvers must build the same bytes without that copy.
 """
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,23 +31,29 @@ from mgtdispatch import (
     solve_mixed_exact,
     solve_mixed_multiplicative,
 )
-from instances import random_instance
+from instances import random_instance, synth_plant
+from oracles import full_sweep
 
 INF = float("inf")
 PACK = Path(__file__).resolve().parents[1] / "data" / "four_season"
 
 
-def full_sweep(graph, costs, thresholds):
-    """Restricted solve per threshold; best (key, path, alpha) or None."""
-    best = None
-    for alpha in thresholds:
-        res = shortest_path_restricted(graph, costs, float(alpha))
-        if not res.feasible:
-            continue
-        key = (res.total + res.aux_max, res.aux_max, float(alpha))
-        if best is None or key < best[0]:
-            best = (key, res, float(alpha))
-    return best
+def grid_oracle(costs, epsilon=None, grid_n=None, mu=None):
+    """A mixed solver's budget grid, built from the finite spike values plus 0."""
+    vals = np.append(costs.finite_spike_values(), 0.0)
+    if grid_n is not None:
+        return np.linspace(vals.min(), vals.max(), grid_n) if grid_n > 1 else np.array([vals.max()])
+    if epsilon is not None:
+        return np.unique(np.append(np.arange(vals.min(), vals.max(), epsilon), vals.max()))
+    if mu is None:
+        return np.unique(vals)
+    positive = vals[vals > 0]
+    if positive.size == 0:
+        return np.array([0.0])
+    ladder = [float(positive.min())]
+    while ladder[-1] < positive.max():
+        ladder.append(ladder[-1] * (1.0 + mu))
+    return np.unique(np.array([0.0] + ladder + [float(positive.max())]))
 
 
 @pytest.fixture()
@@ -65,22 +74,24 @@ def spy(monkeypatch):
     return seen
 
 
-def _solvers(graph, mset, tariff):
-    return (lambda: solve_mixed_exact(graph, mset, tariff),
-            lambda: solve_mixed_additive(graph, mset, tariff, grid_n=1),
-            lambda: solve_mixed_additive(graph, mset, tariff, grid_n=5),
-            lambda: solve_mixed_additive(graph, mset, tariff, grid_n=30),
-            lambda: solve_mixed_additive(graph, mset, tariff, epsilon=0.7),
-            lambda: solve_mixed_multiplicative(graph, mset, tariff, mu=0.3))
+# every mixed solver, with the grid parameters the tests run it at
+_RUNS = ((solve_mixed_exact, {}),
+         (solve_mixed_additive, {"grid_n": 1}),
+         (solve_mixed_additive, {"grid_n": 5}),
+         (solve_mixed_additive, {"grid_n": 30}),
+         (solve_mixed_additive, {"epsilon": 0.7}),
+         (solve_mixed_multiplicative, {"mu": 0.3}))
 
 
 def _check_against_full(graph, mset, tariff, spy) -> tuple[int, int]:
     """Every mixed solver against the full loop; (feasible solves, solves saved)."""
     n_feasible = n_saved = 0
-    for run in _solvers(graph, mset, tariff):
+    for solve, params in _RUNS:
         spy["calls"], spy["sweeps"] = 0, []
-        got = run()
+        got = solve(graph, mset, tariff, **params)
         (costs, thresholds), = spy["sweeps"]
+        grid = grid_oracle(costs, **params)
+        assert thresholds.dtype == grid.dtype and thresholds.tobytes() == grid.tobytes()
         assert got.thresholds_candidates == len(thresholds)
         assert got.thresholds_evaluated == spy["calls"] <= got.thresholds_candidates
         n_saved += got.thresholds_evaluated < got.thresholds_candidates
@@ -193,3 +204,19 @@ def test_tiny_multiplicative_ratio_is_refused_fast():
     with pytest.raises(ValueError, match="rungs"):
         solve_mixed_multiplicative(g, mset, tariff, mu=1e-9)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_additive_solve_peak_memory():
+    # the 30x50 bench plant at T = 361 gives two 37.6 MB cost arrays; the
+    # grid is read off the spike array in place, so they are nearly the peak
+    g, fc, tariffs = synth_plant(361, 30, 50)
+    mset = mixed_set(fc, 0.5, 2.0)
+    tracemalloc.start()
+    try:
+        sol = solve_mixed_additive(g, mset, tariffs[0.05], grid_n=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = 2 * 8 * g.horizon * g.n_templates
+    assert sol.feasible and sol.thresholds_candidates == 5
+    assert peak <= 1.25 * arrays + 4e6, f"peak {peak / 1e6:.1f} MB for {arrays / 1e6:.1f} MB of cost arrays"

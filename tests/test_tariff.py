@@ -8,7 +8,6 @@ from mgtdispatch import (
     Tariff,
     TouConfig,
     check_convexity,
-    convexify,
     flat_tariff,
     is_convex,
     load_tariff,
@@ -56,8 +55,6 @@ def test_piecewise_validation():
             PiecewiseLinearCost(None, (0.0,), (bad,))
         with pytest.raises(ValueError, match="finite"):
             PiecewiseLinearCost(bad, (0.0,), (0.5,))
-        with pytest.raises(ValueError, match="finite"):
-            PiecewiseLinearCost(None, (0.0,), (0.5,), bad)
     with pytest.raises(ValueError, match="finite"):
         PiecewiseLinearCost(None, (0.0, INF), (0.1, 0.2))
     row = {"from_step": 0, "to_step": 2, "buy_per_kwh": math.nan, "sell_per_kwh": 0.1}
@@ -171,49 +168,6 @@ def test_convexity_check_and_report():
     # selling above the buy rate is the classic non-convex case
     sell_high = flat_tariff(3, 15.0, 0.2, 0.5, 0.1)
     assert not is_convex(sell_high)
-
-
-def test_convex_envelope_hand_case():
-    fn = PiecewiseLinearCost(None, (0.0, 10.0), (1.0, 0.2))
-    t = Tariff(15.0, 1, (fn,), np.zeros(1, dtype=np.int32),
-               (PiecewiseLinearCost(0.0),), np.zeros(1, dtype=np.int32))
-    env = convexify(t).power_functions[0]
-    # the greatest convex minorant of (1.0 then 0.2) is the flat 0.2 line
-    for x in (0.0, 3.0, 10.0, 25.0):
-        assert math.isclose(env.value(x), 0.2 * x)
-    assert env.value(-1.0) == INF
-    assert is_convex(convexify(t))
-
-
-def test_convex_envelope_properties():
-    rng = np.random.default_rng(11)
-    checked = 0
-    for _ in range(200):
-        n_seg = int(rng.integers(2, 5))
-        slopes = tuple(float(s) for s in rng.uniform(0.05, 1.0, n_seg))
-        bps = (0.0, *sorted(float(b) for b in rng.uniform(1.0, 30.0, n_seg - 1)))
-        neg = None if rng.random() < 0.5 else float(rng.uniform(0.0, 0.5))
-        try:
-            fn = PiecewiseLinearCost(neg, bps, slopes)
-        except ValueError:
-            continue
-        t = Tariff(15.0, 1, (fn,), np.zeros(1, dtype=np.int32),
-                   (PiecewiseLinearCost(0.0),), np.zeros(1, dtype=np.int32))
-        if neg is not None and neg > slopes[-1]:
-            with pytest.raises(ValueError, match="envelope"):
-                convexify(t)
-            continue
-        env = convexify(t).power_functions[0]
-        assert env.is_convex()
-        for x in np.linspace(-5.0 if neg is not None else 0.0, 40.0, 60):
-            assert env.value(float(x)) <= fn.value(float(x)) + 1e-9
-        checked += 1
-    assert checked > 50
-
-
-def test_convexify_keeps_convex_functions():
-    t = flat_tariff(3, 15.0, 0.5, 0.2, 0.1)
-    assert convexify(t).power_functions[0] is t.power_functions[0]
 
 
 def test_tariff_roundtrip(tmp_path):

@@ -32,7 +32,6 @@ from .graph import (
     bias_spike_costs,
     build_graph,
     dump_graph,
-    edge_bias_spike,
     edge_weight,
     scenario_weights,
 )
@@ -72,7 +71,6 @@ from .tariff import (
     TouConfig,
     check_convexity,
     flat_tariff,
-    is_convex,
     load_tariff,
     save_tariff,
     tariff_from_dict,
@@ -110,11 +108,9 @@ __all__ = [
     "compare_day",
     "cooldown_example",
     "dump_graph",
-    "edge_bias_spike",
     "edge_weight",
     "flat_tariff",
     "forecast_from_history",
-    "is_convex",
     "load_demand",
     "load_history",
     "load_model",

@@ -4,7 +4,9 @@ Times graph construction and the nominal/box solves on the synthetic
 high-resolution turbine model over a list of horizons, optionally adding a
 grid-limited mixed solve at the largest horizon. Demands are synthetic days
 resampled to each horizon; the point is how runtime grows with the horizon,
-not the cost numbers.
+not the cost numbers. Each nominal and box solve runs _REPEATS times and
+reports its fastest run, so a core shared with another process for one run
+does not bend the growth curve; graph builds and the mixed solve run once.
 """
 
 from __future__ import annotations
@@ -19,11 +21,19 @@ from .model import SynthConfig, synth_c65_like
 from .solvers import solve_box, solve_mixed_additive, solve_nominal
 from .tariff import TouConfig, tou_tariff
 
+_REPEATS = 3
+
 
 def _timed(fn, *args, **kw):
     t0 = time.perf_counter()
     out = fn(*args, **kw)
     return out, time.perf_counter() - t0
+
+
+def _fastest(fn, *args):
+    """(result, fastest of _REPEATS timed calls)."""
+    runs = [_timed(fn, *args) for _ in range(_REPEATS)]
+    return runs[-1][0], min(t for _, t in runs)
 
 
 def run_scaling(
@@ -60,8 +70,8 @@ def run_scaling(
             )
         )
         graph, build_s = _timed(build_graph, model, horizon)
-        nominal, nominal_s = _timed(solve_nominal, graph, day, tariff)
-        box, box_s = _timed(solve_box, graph, box_set(forecast, 1.0), tariff)
+        nominal, nominal_s = _fastest(solve_nominal, graph, day, tariff)
+        box, box_s = _fastest(solve_box, graph, box_set(forecast, 1.0), tariff)
         row = {
             "horizon": horizon,
             "n_states": graph.n_states,

@@ -230,24 +230,16 @@ def load_history(dir_path: str) -> list[DemandProfile]:
     return [load_demand(os.path.join(dir_path, n)) for n in names]
 
 
-def synthetic_day(
-    rng: np.random.Generator,
-    n_steps: int,
-    step_seconds: float,
-    power_base: float = 25.0,
-    power_swing: float = 30.0,
-    heat_base: float = 60.0,
-    heat_swing: float = 90.0,
-    noise_frac: float = 0.08,
-) -> DemandProfile:
+def synthetic_day(rng: np.random.Generator, n_steps: int, step_seconds: float) -> DemandProfile:
     """One plausible building day: morning and evening ridges plus noise."""
     hours = np.arange(n_steps) * step_seconds / 3600.0 % 24.0
+    power_swing, heat_swing, noise_frac = 30.0, 90.0, 0.08
 
     def bump(center, width):
         return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
-    power = power_base + power_swing * (0.6 * bump(8.5, 2.0) + bump(18.5, 2.5))
-    heat = heat_base + heat_swing * (0.9 * bump(7.0, 2.0) + 0.7 * bump(20.0, 3.0))
+    power = 25.0 + power_swing * (0.6 * bump(8.5, 2.0) + bump(18.5, 2.5))
+    heat = 60.0 + heat_swing * (0.9 * bump(7.0, 2.0) + 0.7 * bump(20.0, 3.0))
     power = power + rng.normal(0.0, noise_frac * power_swing, n_steps)
     heat = heat + rng.normal(0.0, noise_frac * heat_swing, n_steps)
     return DemandProfile(np.maximum(power, 0.0), np.maximum(heat, 0.0))

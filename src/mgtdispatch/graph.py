@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import DemandProfile, MixedSet, bias_profile
+from .demand import BoxSet, DemandProfile, MixedSet, bias_profile
 from .model import TurbineModel, validate_model
 from .tariff import Tariff, check_convexity, require_monotone
 
@@ -267,21 +267,35 @@ def _fold_layers(graph: DispatchGraph, level_values, fold, seed: np.ndarray, abs
     return out
 
 
-def scenario_weights(graph: DispatchGraph, demand: DemandProfile, tariff: Tariff) -> np.ndarray:
-    """Edge weights under one fixed demand, as a (horizon, templates) array.
+def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray:
+    """Edge weights under one demand, as a (horizon, templates) array.
 
-    Entry [t, k] is +inf where template k has no edge at time t (head layer
-    past the horizon) or where the scenario makes the edge unusable
-    (forbidden selling). Weight = op_cost + sum over covered steps of the
-    power and heat purchase costs.
+    demand is a DemandProfile, or a box or mixed set priced at its upper
+    corner (for a mixed set, the spikeless bias corner). Entry [t, k] is
+    +inf where template k has no edge at time t (head layer past the
+    horizon) or where the scenario makes the edge unusable (forbidden
+    selling). Weight = op_cost + sum over covered steps of the power and
+    heat purchase costs. Costs never fall as demand rises, so the upper
+    corner prices a set's worst case, except that an edge that must export
+    at the set's lower corner on a forbidden-sell step is +inf as well.
     """
+    lower = None
+    if isinstance(demand, (BoxSet, MixedSet)):
+        if _sell_forbidden(graph, tariff):
+            lower = _demand_steps(graph, _lower_corner(demand))
+        demand = DemandProfile(demand.p0 + demand.dp, demand.h0 + demand.dh)
     p_dem, h_dem = _demand_steps(graph, demand)
     _check_tariff(graph, tariff)
     (p_lvl, _), (h_lvl, _) = graph.output_levels
 
     def step_costs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        return (tariff.power_cost_block(p_dem[None, a:b] - p_lvl[:, None], a).T,
-                tariff.heat_cost_block(h_dem[None, a:b] - h_lvl[:, None], a).T)
+        p = tariff.power_cost_block(p_dem[None, a:b] - p_lvl[:, None], a)
+        h = tariff.heat_cost_block(h_dem[None, a:b] - h_lvl[:, None], a)
+        if lower is not None:
+            p_low, h_low = lower
+            p[tariff.power_cost_block(p_low[None, a:b] - p_lvl[:, None], a) == INF] = INF
+            h[tariff.heat_cost_block(h_low[None, a:b] - h_lvl[:, None], a) == INF] = INF
+        return p.T, h.T
 
     return _fold_layers(graph, step_costs, np.add, graph.op_cost, INF)
 
@@ -298,17 +312,6 @@ def _sell_forbidden(graph: DispatchGraph, tariff: Tariff) -> bool:
 def _lower_corner(uset) -> DemandProfile:
     """Lowest demand of a box or mixed set; spikes only add, and demand stops at zero."""
     return DemandProfile(np.maximum(uset.p0 - uset.dp, 0.0), np.maximum(uset.h0 - uset.dh, 0.0))
-
-
-def _drop_forced_export(graph: DispatchGraph, weights: np.ndarray, uset, tariff: Tariff) -> np.ndarray:
-    """Set +inf on edges that must export at the set's lower corner on a forbidden-sell step.
-
-    Costs never fall as demand rises, so the upper corner prices every
-    other edge's worst case; tariffs that sell everywhere skip the pass.
-    """
-    if _sell_forbidden(graph, tariff):
-        weights[scenario_weights(graph, _lower_corner(uset), tariff) == INF] = INF
-    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +347,7 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
         raise TypeError(f"bias_spike_costs needs a MixedSet, got {type(mset).__name__}")
     _check_mixed_tariff(tariff)
     bias = bias_profile(mset)
-    w_bias = _drop_forced_export(graph, scenario_weights(graph, bias, tariff), mset, tariff)
+    w_bias = scenario_weights(graph, mset, tariff)
 
     p_dem, h_dem = _demand_steps(graph, bias)
     n = graph.n_priced_steps
@@ -422,24 +425,6 @@ def _spike_gain(graph: DispatchGraph, edge: Edge, bias: DemandProfile, mset: Mix
             if gain > best:
                 best, step, what = gain, j, "heat"
     return best, step, what
-
-
-def edge_bias_spike(graph: DispatchGraph, edge: Edge, mset: MixedSet, tariff: Tariff) -> tuple[float, float]:
-    """(w_bias, w_spike) of one edge under a mixed uncertainty set.
-
-    w_bias prices the spikeless bias corner; w_spike is the largest cost
-    increment any single in-span spike can add on top of it, 0 when no
-    enabled spike falls inside the span. An edge that is unusable at the
-    bias corner, or that must export at the lower corner on a forbidden-sell
-    step, gives (inf, 0).
-    """
-    _check_mixed_tariff(tariff)
-    bias = bias_profile(mset)
-    w_bias = edge_weight(graph, edge, bias, tariff)
-    if w_bias == INF or (_sell_forbidden(graph, tariff)
-                         and edge_weight(graph, edge, _lower_corner(mset), tariff) == INF):
-        return INF, 0.0
-    return w_bias, _spike_gain(graph, edge, bias, mset, tariff)[0]
 
 
 def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) -> None:

@@ -122,30 +122,30 @@ def cooldown_example(
     return TurbineModel(step_seconds, ("x_on", "x_off1", "x_off2", "x_off3+"), tuple(trs))
 
 
+# The synthetic plant follows a 65 kWel recuperated machine: electric power
+# spans POWER_RANGE_KW across the speed levels; recoverable heat spans
+# HEAT_RANGE_KW, HEAT_SPEED_SHARE of it rising with speed and the rest
+# falling as the recuperator bypass valve closes. Fuel draw (kW of gas) is
+# affine in the two outputs and priced per kWh of gas. Startup and shutdown
+# produce nothing, take a fixed number of seconds and cost CYCLING_COST each
+# (wear amortization per start/stop).
+POWER_RANGE_KW = (5.0, 65.0)
+HEAT_RANGE_KW = (27.0, 216.0)
+HEAT_SPEED_SHARE = 0.5
+CYCLING_COST = 3.75
+STARTUP_SECONDS = 360.0
+SHUTDOWN_SECONDS = 180.0
+GAS_PRICE_PER_KWH = 0.0725
+FUEL_KW_BASE = 10.0
+FUEL_KW_PER_KW_POWER = 2.8
+FUEL_KW_PER_KW_HEAT = 0.15
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic speed-by-valve turbine generator.
-
-    Output ranges follow a 65 kWel recuperated machine: electric power spans
-    power_range_kw across the speed levels; recoverable heat spans
-    heat_range_kw, rising with speed and falling as the recuperator bypass
-    valve closes. Fuel draw is affine in the two outputs and is priced per
-    kWh of gas. Startup and shutdown produce nothing, take a fixed number of
-    seconds and cost cycling_cost each (wear amortization per start/stop).
-    """
+    """Step length of the synthetic turbine; the rest of the plant is fixed above."""
 
     step_seconds: float = 15.0
-    power_range_kw: tuple[float, float] = (5.0, 65.0)
-    heat_range_kw: tuple[float, float] = (27.0, 216.0)
-    cycling_cost: float = 3.75
-    startup_seconds: float = 360.0
-    shutdown_seconds: float = 180.0
-    gas_price_per_kwh: float = 0.0725
-    fuel_kw_base: float = 10.0
-    fuel_kw_per_kw_power: float = 2.8
-    fuel_kw_per_kw_heat: float = 0.15
-    heat_speed_share: float = 0.5
-    diagonal_moves: bool = True
 
 
 def synth_c65_like(n_speeds: int = 30, n_valves: int = 50, config: SynthConfig | None = None) -> TurbineModel:
@@ -162,12 +162,12 @@ def synth_c65_like(n_speeds: int = 30, n_valves: int = 50, config: SynthConfig |
     outputs, held over each covered step; op_cost is the per-step fuel cost
     of that average output times the duration.
     """
-    cfg = config or SynthConfig()
+    step_seconds = (config or SynthConfig()).step_seconds
     if n_speeds < 1 or n_valves < 1:
         raise ValueError("need at least one speed and one valve level")
 
-    p_lo, p_hi = cfg.power_range_kw
-    h_lo, h_hi = cfg.heat_range_kw
+    p_lo, p_hi = POWER_RANGE_KW
+    h_lo, h_hi = HEAT_RANGE_KW
 
     def frac(k: int, n: int) -> float:
         return k / (n - 1) if n > 1 else 1.0
@@ -178,12 +178,12 @@ def synth_c65_like(n_speeds: int = 30, n_valves: int = 50, config: SynthConfig |
     def heat(i: int, j: int) -> float:
         fs = frac(i, n_speeds)
         fv = frac(j, n_valves) if n_valves > 1 else 0.0
-        mix = cfg.heat_speed_share * fs + (1.0 - cfg.heat_speed_share) * (1.0 - fv)
+        mix = HEAT_SPEED_SHARE * fs + (1.0 - HEAT_SPEED_SHARE) * (1.0 - fv)
         return h_lo + (h_hi - h_lo) * mix
 
     def fuel_cost_per_step(p_kw: float, h_kw: float) -> float:
-        fuel_kw = cfg.fuel_kw_base + cfg.fuel_kw_per_kw_power * p_kw + cfg.fuel_kw_per_kw_heat * h_kw
-        return cfg.gas_price_per_kwh * fuel_kw * cfg.step_seconds / 3600.0
+        fuel_kw = FUEL_KW_BASE + FUEL_KW_PER_KW_POWER * p_kw + FUEL_KW_PER_KW_HEAT * h_kw
+        return GAS_PRICE_PER_KWH * fuel_kw * step_seconds / 3600.0
 
     def name(i: int, j: int) -> str:
         return f"s{i:02d}v{j:02d}"
@@ -197,17 +197,14 @@ def synth_c65_like(n_speeds: int = 30, n_valves: int = 50, config: SynthConfig |
         ("speed-1", -1, 0),
         ("valve+1", 0, 1),
         ("valve-1", 0, -1),
+        ("speed+1/valve+1", 1, 1),
+        ("speed+1/valve-1", 1, -1),
+        ("speed-1/valve+1", -1, 1),
+        ("speed-1/valve-1", -1, -1),
     ]
-    if cfg.diagonal_moves:
-        moves += [
-            ("speed+1/valve+1", 1, 1),
-            ("speed+1/valve-1", 1, -1),
-            ("speed-1/valve+1", -1, 1),
-            ("speed-1/valve-1", -1, -1),
-        ]
 
-    startup_steps = max(1, math.ceil(cfg.startup_seconds / cfg.step_seconds))
-    shutdown_steps = max(1, math.ceil(cfg.shutdown_seconds / cfg.step_seconds))
+    startup_steps = max(1, math.ceil(STARTUP_SECONDS / step_seconds))
+    shutdown_steps = max(1, math.ceil(SHUTDOWN_SECONDS / step_seconds))
 
     trs: list[Transition] = []
     for i in range(n_speeds):
@@ -224,11 +221,11 @@ def synth_c65_like(n_speeds: int = 30, n_valves: int = 50, config: SynthConfig |
                 hm = 0.5 * (h0 + heat(ii, jj))
                 trs.append(Transition(src, label, name(ii, jj), dur, pm, hm, dur * fuel_cost_per_step(pm, hm)))
     low = name(0, 0)
-    trs.append(Transition(low, "shutdown", "off", shutdown_steps, 0.0, 0.0, cfg.cycling_cost))
+    trs.append(Transition(low, "shutdown", "off", shutdown_steps, 0.0, 0.0, CYCLING_COST))
     trs.append(Transition("off", "keep", "off", 1, 0.0, 0.0, 0.0))
-    trs.append(Transition("off", "start", low, startup_steps, 0.0, 0.0, cfg.cycling_cost))
+    trs.append(Transition("off", "start", low, startup_steps, 0.0, 0.0, CYCLING_COST))
 
-    return TurbineModel(cfg.step_seconds, tuple(states), tuple(trs))
+    return TurbineModel(step_seconds, tuple(states), tuple(trs))
 
 
 def model_to_dict(model: TurbineModel) -> dict:

@@ -22,14 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .demand import (
-    DemandProfile,
-    bias_profile,
-    box_set,
-    forecast_from_history,
-    mixed_set,
-    worst_corner,
-)
+from .demand import DemandProfile, box_set, forecast_from_history, mixed_set
 from .graph import DispatchGraph, build_graph
 from .shortest_path import PathResult
 from .solvers import RobustSolution, _solve_mixed, path_cost_at, solve_box, solve_nominal

@@ -37,7 +37,6 @@ from .graph import (
     DispatchGraph,
     EdgeCosts,
     _check_mixed_tariff,
-    _drop_forced_export,
     _lower_corner,
     _sell_forbidden,
     _spike_gain,
@@ -152,8 +151,7 @@ def solve_box(graph: DispatchGraph, bset: BoxSet, tariff) -> RobustSolution:
     """
     require_monotone(tariff)
     corner = worst_corner(bset)
-    weights = _drop_forced_export(graph, scenario_weights(graph, corner, tariff), bset, tariff)
-    return _solve_fixed(graph, weights, corner, tariff, "box", "box-corner")
+    return _solve_fixed(graph, scenario_weights(graph, bset, tariff), corner, tariff, "box", "box-corner")
 
 
 def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):

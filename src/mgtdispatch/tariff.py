@@ -187,10 +187,6 @@ def require_monotone(tariff: Tariff) -> None:
                          f"{len(falls)} step(s) do, first {falls[0]}")
 
 
-def is_convex(tariff: Tariff) -> bool:
-    return not check_convexity(tariff)
-
-
 @dataclass(frozen=True)
 class TouConfig:
     """Time-of-use tariff: one peak window per day, flat heat price.
@@ -198,33 +194,22 @@ class TouConfig:
     The peak window is [peak_start_hour, peak_end_hour) in hours of the day;
     step t covers wall-clock seconds [t*step_seconds, (t+1)*step_seconds).
     sell_per_kwh may be "same" (buy rate of the step), "forbidden", or a rate.
-    The heat price can be given per kWh directly or as a fuel price per kg
-    plus its energy content.
     """
 
     step_seconds: float
     horizon_steps: int
     buy_peak_per_kwh: float
     buy_offpeak_per_kwh: float
+    heat_buy_per_kwh: float
     peak_start_hour: float = 10.0
     peak_end_hour: float = 20.0
     sell_per_kwh: float | str = "same"
-    heat_buy_per_kwh: float | None = None
-    heat_price_per_kg: float | None = None
-    heat_kwh_per_kg: float = 13.1
 
 
 def tou_tariff(config: TouConfig) -> Tariff:
     """Build the per-step tariff for a daily peak/off-peak price pair."""
     dt = config.step_seconds
     per_step = dt / 3600.0
-
-    if config.heat_buy_per_kwh is not None:
-        heat_rate = config.heat_buy_per_kwh
-    elif config.heat_price_per_kg is not None:
-        heat_rate = config.heat_price_per_kg / config.heat_kwh_per_kg
-    else:
-        raise ValueError("need heat_buy_per_kwh or heat_price_per_kg")
 
     def sell_slope(buy_rate: float) -> float | None:
         if config.sell_per_kwh == "same":
@@ -243,7 +228,7 @@ def tou_tariff(config: TouConfig) -> Tariff:
         in_peak = (hours >= config.peak_start_hour) | (hours < config.peak_end_hour)
     power_index = np.where(in_peak, 0, 1).astype(np.int32)
 
-    heat_fn = PiecewiseLinearCost(0.0, (0.0,), (heat_rate * per_step,))
+    heat_fn = PiecewiseLinearCost(0.0, (0.0,), (config.heat_buy_per_kwh * per_step,))
     heat_index = np.zeros(config.horizon_steps, dtype=np.int32)
     return Tariff(dt, config.horizon_steps, (peak, off), power_index, (heat_fn,), heat_index)
 

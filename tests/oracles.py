@@ -1,17 +1,19 @@
-"""Exhaustive oracles that reuse the package's path pricing.
+"""Exhaustive and scalar oracles that reuse the package's pricing.
 
 Unlike reference.py, these call into mgtdispatch: brute_force_oracle
 enumerates every s->q path of a built graph and prices each with the
 solvers' own worst-case evaluator, so it checks the search (the
 decomposition, the sweep and the DP), not the pricing. full_sweep is the
-unpruned budget loop that solvers._sweep must reproduce.
+unpruned budget loop that solvers._sweep must reproduce. edge_bias_spike
+prices one edge step by step, the scalar twin of graph.bias_spike_costs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mgtdispatch import Edge, PathResult, RobustSolution, shortest_path_restricted
+from mgtdispatch import Edge, PathResult, RobustSolution, bias_profile, edge_weight, shortest_path_restricted
+from mgtdispatch.graph import _check_mixed_tariff, _lower_corner, _sell_forbidden, _spike_gain
 from mgtdispatch.solvers import _infeasible, _worstcase_parts
 
 INF = float("inf")
@@ -92,3 +94,21 @@ def full_sweep(graph, costs, thresholds):
         if best is None or key < best[0]:
             best = (key, res, float(alpha))
     return best
+
+
+def edge_bias_spike(graph, edge: Edge, mset, tariff) -> tuple[float, float]:
+    """(w_bias, w_spike) of one edge under a mixed uncertainty set.
+
+    w_bias prices the spikeless bias corner; w_spike is the largest cost
+    increment any single in-span spike can add on top of it, 0 when no
+    enabled spike falls inside the span. An edge that is unusable at the
+    bias corner, or that must export at the lower corner on a forbidden-sell
+    step, gives (inf, 0).
+    """
+    _check_mixed_tariff(tariff)
+    bias = bias_profile(mset)
+    w_bias = edge_weight(graph, edge, bias, tariff)
+    if w_bias == INF or (_sell_forbidden(graph, tariff)
+                         and edge_weight(graph, edge, _lower_corner(mset), tariff) == INF):
+        return INF, 0.0
+    return w_bias, _spike_gain(graph, edge, bias, mset, tariff)[0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mgtdispatch import graph as graph_module
+from mgtdispatch import solvers as solvers_module
 from mgtdispatch import (
     DemandProfile,
     Edge,
@@ -14,16 +15,21 @@ from mgtdispatch import (
     PiecewiseLinearCost,
     Tariff,
     bias_spike_costs,
+    box_set,
     build_graph,
     cooldown_example,
     dump_graph,
-    edge_bias_spike,
     edge_weight,
     flat_tariff,
     mixed_set,
     scenario_weights,
+    solve_box,
+    solve_mixed_additive,
+    solve_mixed_exact,
+    solve_mixed_multiplicative,
 )
 from instances import random_forecast, random_instance, synth_plant
+from oracles import edge_bias_spike
 from reference import ref_count_nodes_edges
 
 INF = float("inf")
@@ -209,18 +215,58 @@ def test_layer_blocks_split_edge_spans(monkeypatch):
     assert n_inf > 0 and n_dead > 0
 
 
-def test_scenario_weights_peak_memory():
-    # the 30x50 bench plant at T = 361 gives a 37.6 MB weight array; pricing
-    # and folding a block of layers at a time keeps the rest to a few MB
-    g, fc, tariffs = synth_plant(361, 30, 50)
+@pytest.fixture(scope="module")
+def bench_plant_361():
+    return synth_plant(361, 30, 50)
+
+
+def _peak_bytes(fn, *args):
+    """(result, tracemalloc peak of the call)."""
     tracemalloc.start()
     try:
-        w = scenario_weights(g, DemandProfile(fc.mu_power, fc.mu_heat), tariffs[0.05])
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_scenario_weights_peak_memory(bench_plant_361):
+    # the 30x50 bench plant at T = 361 gives a 37.6 MB weight array; pricing
+    # and folding a block of layers at a time keeps the rest to a few MB
+    g, fc, tariffs = bench_plant_361
+    w, peak = _peak_bytes(scenario_weights, g, DemandProfile(fc.mu_power, fc.mu_heat), tariffs[0.05])
     assert w.nbytes >= 20e6
     assert peak <= 1.25 * w.nbytes + 4e6, f"peak {peak / 1e6:.1f} MB for a {w.nbytes / 1e6:.1f} MB array"
+
+
+def test_forbidden_sell_box_prices_lower_corner_in_the_same_pass(bench_plant_361):
+    # the lower corner marks forced exports in the level tables, so no
+    # second weight array or mask is built
+    g, fc, tariffs = bench_plant_361
+    sol, peak = _peak_bytes(solve_box, g, box_set(fc, 1.0), tariffs["forbidden"])
+    assert sol.feasible
+    nbytes = g.horizon * g.n_templates * 8
+    assert peak <= 1.25 * nbytes + 4e6, f"peak {peak / 1e6:.1f} MB for a {nbytes / 1e6:.1f} MB array"
+
+
+def test_robust_solves_price_each_set_once(monkeypatch, tiny_graph, tiny_tariff):
+    # selling forbidden: the lower corner must not cost a second scenario_weights call
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return scenario_weights(*args)
+
+    monkeypatch.setattr(graph_module, "scenario_weights", counted)
+    monkeypatch.setattr(solvers_module, "scenario_weights", counted)
+    fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
+    mset = mixed_set(fc, 1.0, 2.0)
+    for solve, uset, kw in ((solve_box, box_set(fc, 1.0), {}), (solve_mixed_exact, mset, {}),
+                            (solve_mixed_additive, mset, {"grid_n": 3}),
+                            (solve_mixed_multiplicative, mset, {"mu": 0.5})):
+        calls.clear()
+        assert solve(tiny_graph, uset, tiny_tariff, **kw).feasible
+        assert calls == [uset], solve.__name__
 
 
 def test_bias_spike_frozen_values():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from mgtdispatch import model as plant
 from mgtdispatch import (
     SynthConfig,
     Transition,
@@ -92,8 +93,8 @@ def test_synth_fuel_pricing():
     # lowest speed, open valve: P = 5, H = 27 + 189 * 0.5 * (0 + 1)
     assert math.isclose(keep.power_kw, 5.0)
     assert math.isclose(keep.heat_kw, 27.0 + 189.0 * 0.5)
-    fuel_kw = cfg.fuel_kw_base + cfg.fuel_kw_per_kw_power * keep.power_kw + cfg.fuel_kw_per_kw_heat * keep.heat_kw
-    expected = cfg.gas_price_per_kwh * fuel_kw * cfg.step_seconds / 3600.0
+    fuel_kw = plant.FUEL_KW_BASE + plant.FUEL_KW_PER_KW_POWER * keep.power_kw + plant.FUEL_KW_PER_KW_HEAT * keep.heat_kw
+    expected = plant.GAS_PRICE_PER_KWH * fuel_kw * cfg.step_seconds / 3600.0
     assert math.isclose(keep.op_cost, expected)
 
 
@@ -107,15 +108,13 @@ def test_synth_moves():
     assert math.isclose(up.heat_kw, 0.5 * (keep0.heat_kw + keep1.heat_kw))
     # op cost is duration * fuel at the averaged output
     cfg = SynthConfig()
-    fuel_kw = cfg.fuel_kw_base + cfg.fuel_kw_per_kw_power * up.power_kw + cfg.fuel_kw_per_kw_heat * up.heat_kw
-    assert math.isclose(up.op_cost, 2 * cfg.gas_price_per_kwh * fuel_kw * cfg.step_seconds / 3600.0)
+    fuel_kw = plant.FUEL_KW_BASE + plant.FUEL_KW_PER_KW_POWER * up.power_kw + plant.FUEL_KW_PER_KW_HEAT * up.heat_kw
+    assert math.isclose(up.op_cost, 2 * plant.GAS_PRICE_PER_KWH * fuel_kw * cfg.step_seconds / 3600.0)
     down = [tr for tr in m.transitions if tr.from_state == "s01v00" and tr.control == "speed-1"][0]
     assert down.duration_steps == 1
 
     diag = [tr for tr in m.transitions if tr.control == "speed+1/valve+1"]
     assert diag and diag[0].duration_steps == 2
-    no_diag = synth_c65_like(3, 2, SynthConfig(diagonal_moves=False))
-    assert not [tr for tr in no_diag.transitions if "/" in tr.control]
 
 
 def test_model_roundtrip(tmp_path, tiny_model):

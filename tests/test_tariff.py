@@ -9,7 +9,6 @@ from mgtdispatch import (
     TouConfig,
     check_convexity,
     flat_tariff,
-    is_convex,
     load_tariff,
     save_tariff,
     tariff_from_dict,
@@ -70,7 +69,7 @@ def test_monotone_check_flags_negative_slopes():
     report = check_monotone(flat_tariff(3, 15.0, 0.5, -0.2, 0.1))
     assert report == [f"t={t}: power cost falls as demand rises (slope -0.2)" for t in range(3)]
     neg_buy = flat_tariff(3, 15.0, -5.0, None, 0.1)
-    assert is_convex(neg_buy) and len(check_monotone(neg_buy)) == 3
+    assert check_convexity(neg_buy) == [] and len(check_monotone(neg_buy)) == 3
     with pytest.raises(ValueError, match="never fall"):
         require_monotone(neg_buy)
     require_monotone(flat_tariff(3, 15.0, 0.5, 0.0, 0.1))
@@ -92,13 +91,13 @@ def test_tou_peak_window():
 def test_tou_wrapping_window_and_heat_per_kg():
     cfg = TouConfig(step_seconds=3600.0, horizon_steps=24, buy_peak_per_kwh=0.4,
                     buy_offpeak_per_kwh=0.1, peak_start_hour=22.0, peak_end_hour=6.0,
-                    sell_per_kwh="forbidden", heat_price_per_kg=13.1)
+                    sell_per_kwh="forbidden", heat_buy_per_kwh=1.0)
     t = tou_tariff(cfg)
     assert math.isclose(t.power_fn(23).value(1.0), 0.4)
     assert math.isclose(t.power_fn(3).value(1.0), 0.4)
     assert math.isclose(t.power_fn(12).value(1.0), 0.1)
     assert t.power_fn(12).value(-1.0) == INF
-    # 13.1 $/kg at 13.1 kWh/kg -> 1 $/kWh -> 1 per kW-step at 1 h steps
+    # 1 $/kWh -> 1 per kW-step at 1 h steps
     assert math.isclose(t.heat_fn(0).value(1.0), 1.0)
 
 
@@ -157,7 +156,7 @@ def test_monotone_for_nonnegative_slopes():
 
 def test_convexity_check_and_report():
     good = flat_tariff(3, 15.0, 0.5, 0.2, 0.1)
-    assert is_convex(good) and check_convexity(good) == []
+    assert check_convexity(good) == []
 
     bad_fn = PiecewiseLinearCost(None, (0.0, 10.0), (1.0, 0.2))
     t = Tariff(15.0, 2, (bad_fn,), np.zeros(2, dtype=np.int32),
@@ -167,7 +166,7 @@ def test_convexity_check_and_report():
     assert report[0].startswith("t=0: power cost is non-convex")
     # selling above the buy rate is the classic non-convex case
     sell_high = flat_tariff(3, 15.0, 0.2, 0.5, 0.1)
-    assert not is_convex(sell_high)
+    assert check_convexity(sell_high)
 
 
 def test_tariff_roundtrip(tmp_path):

@@ -93,31 +93,27 @@ class DispatchGraph:
         return np.unique(self.power, return_inverse=True), np.unique(self.heat, return_inverse=True)
 
     @cached_property
-    def templates_by_tail(self) -> list[np.ndarray]:
-        return [np.nonzero(self.tail == s)[0] for s in range(self.n_states)]
+    def tail_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(templates, head offsets) as (max out-degree, n_states) slot matrices.
 
-    @cached_property
-    def head_offsets(self) -> np.ndarray:
-        """Per-template flat offset of the head node relative to layer 0."""
-        return self.dur.astype(np.int64) * self.n_states + self.head
-
-    @cached_property
-    def tail_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Templates stably sorted by tail state, with reduceat segment starts.
-
-        Returns (order, starts, out_states, tails_sorted): out_states[i] is
-        the tail of the segment beginning at starts[i] in the sorted order.
+        Column x lists x's templates in template order, padded with
+        n_templates; the head offset of a template is dur * n_states + head
+        (0 in pad slots), the flat index of its head node relative to layer 0.
         """
         order = np.argsort(self.tail, kind="stable")
-        tails_sorted = self.tail[order]
-        starts = np.nonzero(np.r_[True, tails_sorted[1:] != tails_sorted[:-1]])[0]
-        return order, starts, tails_sorted[starts], tails_sorted
+        tails = self.tail[order]
+        counts = np.bincount(self.tail, minlength=self.n_states)
+        rank = np.arange(self.n_templates) - (np.cumsum(counts) - counts)[tails]
+        tmpl = np.full((counts.max(), self.n_states), self.n_templates, dtype=np.intp)
+        tmpl[rank, tails] = order
+        offsets = np.append(self.dur.astype(np.intp) * self.n_states + self.head, 0)
+        return tmpl, offsets[tmpl]
 
     @cached_property
     def successors(self) -> list[list[tuple[int, int, int]]]:
         """Per tail state, (duration, head, template) triples in the walk's tie-break order."""
-        return [sorted(zip(self.dur[r].tolist(), self.head[r].tolist(), r.tolist()))
-                for r in self.templates_by_tail]
+        cols = (col[col < self.n_templates] for col in self.tail_slots[0].T)
+        return [sorted(zip(self.dur[r].tolist(), self.head[r].tolist(), r.tolist())) for r in cols]
 
     def template_exists_at(self, k: int, t: int) -> bool:
         return 0 <= t and t + int(self.dur[k]) <= self.horizon - 1

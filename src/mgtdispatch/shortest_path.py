@@ -3,15 +3,18 @@
 The plain problem is the spike-restricted one with zero spikes and no
 budget, and both kernels share its two halves: one backward layer
 relaxation (_relax) and one forward walk (_walk). Edge costs are
-(horizon, templates) arrays, so each layer relaxes one contiguous row.
-Template k has no edge at layer t when t + dur[k] > horizon - 1; the
-relaxation reads that slot as +inf whatever the weight array holds. The
-walk starts at the initial state with the smallest (value, max spike,
-index) and always steps to the smallest (head time, head state, template)
-successor whose candidate value reproduces the stored optimum exactly
-without exceeding the start's max spike, so the returned path is the
-lexicographically smallest node sequence among the optimal ones and its
-right-fold cost equals the DP value bit for bit.
+(horizon, templates) arrays in template order. Each layer gathers its row
+into the graph's tail_slots matrix (a column per state, +inf in pad slots)
+and takes one min down the columns. Value arrays carry max-duration +inf
+rows past the horizon, so head indices need no clamp. Template k has no
+edge at layer t when t + dur[k] > horizon - 1; the relaxation reads that
+slot as +inf whatever the weight array holds. The walk starts at the
+initial state with the smallest (value, max spike, index) and always steps
+to the smallest (head time, head state, template) successor whose
+candidate value reproduces the stored optimum exactly without exceeding
+the start's max spike, so the returned path is the lexicographically
+smallest node sequence among the optimal ones and its right-fold cost
+equals the DP value bit for bit.
 
 The restricted kernel drops every edge whose spike cost exceeds a budget
 alpha and optimizes the pair (sum of bias costs, max spike along the path)
@@ -51,22 +54,21 @@ class PathResult:
 _INFEASIBLE = PathResult(False, (), (), INF, INF)
 
 
-def _relax(graph: DispatchGraph, wrow: np.ndarray, b: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _relax(graph: DispatchGraph, wrow: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
     """Set b[t] to each state's min over its templates of wrow + b[head].
 
-    Templates with no edge at layer t read +inf. Returns each template's
-    flat head index into b and the candidates in tail order.
+    Templates with no edge at layer t read +inf. Returns the candidates as
+    a tail_slots matrix, +inf in pad slots.
     """
     s = graph.n_states
     last = graph.horizon - 1
-    # the clamp only keeps absent templates in bounds
-    idx = np.minimum(t * s + graph.head_offsets, graph.horizon * s - 1)
     if t + graph.duration_groups[-1][0] > last:
         wrow = np.where(graph.dur > last - t, INF, wrow)
-    order, starts, out_states, _ = graph.tail_groups
-    cand = (wrow + b.reshape(-1)[idx])[order]
-    b[t, out_states] = np.minimum.reduceat(cand, starts)
-    return idx, cand
+    tmpl, heads = graph.tail_slots
+    cand = np.append(wrow, INF)[tmpl]
+    cand += b.reshape(-1)[t * s:][heads]
+    b[t] = cand.min(axis=0)
+    return cand
 
 
 def _walk(graph: DispatchGraph, b: np.ndarray, b_aux: np.ndarray, w: np.ndarray,
@@ -104,7 +106,7 @@ def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
             f"({graph.horizon}, {graph.n_templates})"
         )
     last = graph.horizon - 1
-    b = np.full((graph.horizon, graph.n_states), INF, dtype=np.float64)
+    b = np.full((graph.horizon + graph.duration_groups[-1][0], graph.n_states), INF)
     b[last, graph.final_mask] = 0.0
     for t in range(last - 1, -1, -1):
         _relax(graph, weights[t], b, t)
@@ -125,17 +127,19 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
     if wb.shape != (graph.horizon, graph.n_templates):
         raise ValueError("edge costs do not match this graph")
     last = graph.horizon - 1
-    order, starts, out_states, tails_sorted = graph.tail_groups
+    s = graph.n_states
+    tmpl, heads = graph.tail_slots
 
-    b_cost = np.full((graph.horizon, graph.n_states), INF, dtype=np.float64)
-    b_aux = np.full((graph.horizon, graph.n_states), INF, dtype=np.float64)
+    shape = (graph.horizon + graph.duration_groups[-1][0], s)
+    b_cost, b_aux = np.full(shape, INF), np.full(shape, INF)
     b_cost[last, graph.final_mask] = 0.0
     b_aux[last, graph.final_mask] = 0.0
     ba_flat = b_aux.reshape(-1)
     for t in range(last - 1, -1, -1):
-        idx, cs = _relax(graph, np.where(ws[t] > alpha, INF, wb[t]), b_cost, t)
+        cand = _relax(graph, np.where(ws[t] > alpha, INF, wb[t]), b_cost, t)
         # second pass: min max-spike among cost-optimal continuations
-        cand_aux = np.maximum(ws[t], ba_flat[idx])[order]
-        on_opt = cs == b_cost[t, tails_sorted]
-        b_aux[t, out_states] = np.minimum.reduceat(np.where(on_opt, cand_aux, INF), starts)
+        aux = np.append(ws[t], INF)[tmpl]
+        np.maximum(aux, ba_flat[t * s:][heads], out=aux)
+        aux[cand != b_cost[t]] = INF
+        b_aux[t] = aux.min(axis=0)
     return _walk(graph, b_cost, b_aux, wb, ws, alpha)

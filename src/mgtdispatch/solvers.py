@@ -277,7 +277,7 @@ def solve_mixed_additive(
     hi = float(costs.w_spike.max())
     if grid_n is not None:
         _check_grid_size(costs, grid_n, f"grid_n={grid_n!r}")
-        thresholds = np.linspace(0.0, hi, grid_n) if grid_n > 1 else np.array([hi])
+        thresholds = np.unique(np.linspace(0.0, hi, grid_n)) if grid_n > 1 else np.array([hi])
     else:
         _check_grid_size(costs, np.ceil(hi / epsilon) + 1, f"epsilon={epsilon!r}")
         thresholds = np.unique(np.append(np.arange(0.0, hi, epsilon), hi))

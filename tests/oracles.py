@@ -30,7 +30,7 @@ def enumerate_paths(graph, limit: int = 200_000):
 
     def successors(t: int, x: int):
         out = []
-        for k in graph.templates_by_tail[x]:
+        for k in np.nonzero(graph.tail == x)[0]:
             d = int(graph.dur[k])
             if t + d <= last:
                 out.append((t + d, int(graph.head[k]), int(k)))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mgtdispatch import (
-    BoxSet,
     DemandProfile,
     Forecast,
     box_set,

@@ -1,6 +1,5 @@
 """Time-expanded graph construction and edge-cost evaluation."""
 
-import math
 import tracemalloc
 
 import numpy as np

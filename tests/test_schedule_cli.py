@@ -20,8 +20,6 @@ from mgtdispatch import (
     save_model,
     save_schedule,
     save_tariff,
-    scenario_weights,
-    shortest_path_dag,
     solve_nominal,
     synthetic_day,
     tou_tariff,

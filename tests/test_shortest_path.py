@@ -15,7 +15,8 @@ from mgtdispatch import (
     shortest_path_restricted,
     synth_c65_like,
 )
-from instances import random_instance
+from instances import random_instance, random_model
+from oracles import enumerate_paths
 from reference import ref_walks
 
 INF = float("inf")
@@ -240,3 +241,72 @@ def test_kernels_ignore_weights_of_absent_edges():
             got = shortest_path_restricted(g, EdgeCosts(w, spike), alpha)
             want = shortest_path_restricted(g, EdgeCosts(w_inf, np.where(absent, 0.0, spike)), alpha)
             assert got == want
+
+
+def _enumerated_optimum(g, w, spike, alpha):
+    """(total, max spike, nodes) of the first enumerated path with the best (total, max spike).
+
+    Enumeration runs in the walk's tie-break order, so that path is the one
+    the kernels must return. None when no path stays within alpha.
+    """
+    best = None
+    for start, edges in enumerate_paths(g):
+        if any(spike[e.time, e.template] > alpha for e in edges):
+            continue
+        total = 0.0
+        for e in reversed(edges):
+            total = w[e.time, e.template] + total
+        aux = max((float(spike[e.time, e.template]) for e in edges), default=0.0)
+        if total < INF and (best is None or (total, aux) < best[:2]):
+            best = (total, aux, [(0, g.model.states[start])] + [g.head_node(e) for e in edges])
+    return best
+
+
+def _skewed_model(rng):
+    """State x0 has 12 controls; every other state has one or two."""
+    states = tuple(f"x{i}" for i in range(5))
+    trs = [Transition("x0", f"u{c}", states[int(rng.integers(0, 5))], int(rng.integers(1, 4)), 0.0, 0.0, 0.0)
+           for c in range(12)]
+    for x in states[1:]:
+        trs.append(Transition(x, "keep", x, 1, 0.0, 0.0, 0.0))
+        if rng.random() < 0.5:
+            trs.append(Transition(x, "back", "x0", int(rng.integers(1, 3)), 0.0, 0.0, 0.0))
+    return TurbineModel(15.0, states, tuple(trs))
+
+
+def test_kernels_match_enumeration_out_of_tail_order():
+    # templates listed out of tail order, and out-degrees from 1 to 12, must
+    # not change a path: both kernels against enumeration, and a shuffled
+    # copy of each model against the original
+    n_feasible = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng) if seed % 2 else _skewed_model(rng)
+        perm = rng.permutation(len(model.transitions))
+        shuffled = TurbineModel(model.step_seconds, model.states, tuple(model.transitions[i] for i in perm))
+        assert np.any(np.diff(build_graph(shuffled, 2).tail) < 0)
+        horizon = int(rng.integers(3, 7))
+        shape = (horizon, len(model.transitions))
+        # integer costs tie often, which pins the tie-break
+        w = np.where(rng.random(shape) < 0.15, INF, rng.integers(0, 3, shape).astype(float))
+        spike = rng.integers(0, 4, shape).astype(float)
+        alpha = float(rng.integers(1, 4))
+        got = []
+        for m, cols in ((model, slice(None)), (shuffled, perm)):
+            g = build_graph(m, horizon)
+            if m is model and not seed % 2:
+                assert np.bincount(g.tail).max() == 12
+            wc, sc = w[:, cols], spike[:, cols]
+            runs = ((shortest_path_dag(g, wc), np.zeros(shape), INF),
+                    (shortest_path_restricted(g, EdgeCosts(wc, sc), alpha), sc, alpha))
+            for res, sp, a in runs:
+                want = _enumerated_optimum(g, wc, sp, a)
+                if want is None:
+                    assert not res.feasible
+                    continue
+                assert (res.total, res.aux_max, list(res.nodes)) == want
+                n_feasible += 1
+                got.append((res.total, res.aux_max, res.nodes))
+        # the shuffled model gives the same totals and node sequences
+        assert got[:len(got) // 2] == got[len(got) // 2:]
+    assert n_feasible >= 150

@@ -22,7 +22,7 @@ from mgtdispatch import (
 )
 from mgtdispatch.demand import bias_profile
 from mgtdispatch.solvers import _solve_mixed
-from instances import random_instance
+from instances import random_instance, synth_plant
 from oracles import brute_force_oracle, enumerate_paths
 from reference import ref_solve
 
@@ -87,6 +87,20 @@ def test_additive_grid_controls(smoke):
         solve_mixed_additive(g, None, tariff, grid_n=0)
     with pytest.raises(ValueError, match="epsilon"):
         solve_mixed_additive(g, None, tariff, epsilon=-1.0)
+
+
+def test_grids_count_one_budget_when_every_spike_is_zero():
+    # alpha2 = 0 zeroes every spike, so each grid collapses to the budget 0
+    g, fc, tariffs = synth_plant(41)
+    mset = mixed_set(fc, 0.5, 0.0)
+    exact = solve_mixed_exact(g, mset, tariffs[0.05])
+    for res in (exact,
+                solve_mixed_additive(g, mset, tariffs[0.05], grid_n=30),
+                solve_mixed_additive(g, mset, tariffs[0.05], grid_n=1),
+                solve_mixed_additive(g, mset, tariffs[0.05], epsilon=0.5),
+                solve_mixed_multiplicative(g, mset, tariffs[0.05], mu=0.5)):
+        assert res.thresholds_candidates == res.thresholds_evaluated == 1
+        assert (res.worst_case_cost, res.threshold, res.path) == (exact.worst_case_cost, 0.0, exact.path)
 
 
 def test_multiplicative_grid(smoke):

@@ -42,7 +42,7 @@ def grid_oracle(costs, epsilon=None, grid_n=None, mu=None):
     """A mixed solver's budget grid, built from the finite spike values plus 0."""
     vals = np.append(costs.finite_spike_values(), 0.0)
     if grid_n is not None:
-        return np.linspace(vals.min(), vals.max(), grid_n) if grid_n > 1 else np.array([vals.max()])
+        return np.unique(np.linspace(vals.min(), vals.max(), grid_n)) if grid_n > 1 else np.array([vals.max()])
     if epsilon is not None:
         return np.unique(np.append(np.arange(vals.min(), vals.max(), epsilon), vals.max()))
     if mu is None:

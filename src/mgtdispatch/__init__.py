@@ -32,7 +32,6 @@ from .graph import (
     bias_spike_costs,
     build_graph,
     dump_graph,
-    edge_weight,
     scenario_weights,
 )
 from .model import (
@@ -108,7 +107,6 @@ __all__ = [
     "compare_day",
     "cooldown_example",
     "dump_graph",
-    "edge_weight",
     "flat_tariff",
     "forecast_from_history",
     "load_demand",

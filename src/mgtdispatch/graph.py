@@ -16,8 +16,9 @@ reads one contiguous row per layer. A step's utility cost depends only on
 the step and on the template's power and heat output, so a scenario is
 priced once per distinct output level and step, a block of layers at a
 time, and each edge folds its template's entries of those tables over its
-span. The scalar evaluators below follow the exact same operation order, so
-both routes produce bit-identical numbers.
+span. A fixed path is priced by the same block evaluators on its own steps
+(_path_steps), so paths, worst cases and schedules have one pricing route;
+tests/oracles.py keeps the per-edge scalar twins as oracles.
 """
 
 from __future__ import annotations
@@ -346,49 +347,15 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
     w_bias = scenario_weights(graph, mset, tariff)
 
     p_dem, h_dem = _demand_steps(graph, bias)
-    n = graph.n_priced_steps
     (p_lvl, _), (h_lvl, _) = graph.output_levels
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spike_p = np.where(mset.spike_power[:n], mset.mu1 / mset.delta_p[:n], 0.0)
-        spike_h = np.where(mset.spike_heat[:n], mset.mu1 / mset.delta_h[:n], 0.0)
-
-    def gain(cost_block, dem, lvl, spike, on, a: int, b: int) -> np.ndarray:
-        x = dem[None, a:b] - lvl[:, None]
-        with np.errstate(invalid="ignore"):
-            g = cost_block(x + spike[None, a:b], a)
-            g -= cost_block(x, a)
-        g[:, ~on[a:b]] = 0.0
-        # an infinite cost is a forbidden export, which puts +inf on the edge's bias
-        g[~np.isfinite(g)] = 0.0
-        return g.T
 
     def step_gains(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        return (gain(tariff.power_cost_block, p_dem, p_lvl, spike_p, mset.spike_power, a, b),
-                gain(tariff.heat_cost_block, h_dem, h_lvl, spike_h, mset.spike_heat, a, b))
+        return tuple(g.T for g in _spike_increments(tariff, mset, p_dem[None, a:b] - p_lvl[:, None],
+                                                    h_dem[None, a:b] - h_lvl[:, None], a))
 
     w_spike = _fold_layers(graph, step_gains, np.maximum, np.zeros(graph.n_templates), 0.0)
     w_spike[~np.isfinite(w_bias)] = 0.0
     return EdgeCosts(w_bias=w_bias, w_spike=w_spike)
-
-
-def edge_weight(graph: DispatchGraph, edge: Edge, demand: DemandProfile, tariff: Tariff) -> float:
-    """Weight of one edge under a fixed demand; +inf when unusable.
-
-    Matches Σ over the covered steps of the utility make-up costs plus the
-    transition's own operating cost, evaluated in the same order as the
-    vectorized builder.
-    """
-    if not graph.template_exists_at(edge.template, edge.time):
-        raise ValueError(f"edge {edge} does not exist in a {graph.horizon}-layer graph")
-    p_dem, h_dem = _demand_steps(graph, demand)
-    _check_tariff(graph, tariff)
-    k, t = edge.template, edge.time
-    w = float(graph.op_cost[k])
-    for j in range(t, t + int(graph.dur[k])):
-        s = tariff.power_fn(j).value(float(p_dem[j] - graph.power[k]))
-        s = s + tariff.heat_fn(j).value(float(h_dem[j] - graph.heat[k]))
-        w = w + s
-    return w
 
 
 def _check_mixed_tariff(tariff: Tariff) -> None:
@@ -399,28 +366,43 @@ def _check_mixed_tariff(tariff: Tariff) -> None:
     require_monotone(tariff)
 
 
-def _spike_gain(graph: DispatchGraph, edge: Edge, bias: DemandProfile, mset: MixedSet,
-                tariff: Tariff) -> tuple[float, int, str]:
-    """(gain, step, commodity) of the worst single spike in an edge's span over the bias corner.
+def _spike_increments(tariff: Tariff, mset: MixedSet, p_x: np.ndarray, h_x: np.ndarray,
+                      t0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cost increase of a power and of a heat spike on (rows, width) exchanges of steps [t0, t0 + width).
 
-    (0.0, -1, "") when no spike raises the cost; ties keep the earliest step, power first.
+    0 on steps that admit no such spike, and where a cost is infinite (a
+    forbidden export, which puts +inf on the edge's bias).
     """
-    k, t = edge.template, edge.time
-    best, step, what = 0.0, -1, ""
-    for j in range(t, t + int(graph.dur[k])):
-        if mset.spike_power[j]:
-            fn = tariff.power_fn(j)
-            x = float(bias.power_kw[j] - graph.power[k])
-            gain = fn.value(x + mset.mu1 / mset.delta_p[j]) - fn.value(x)
-            if gain > best:
-                best, step, what = gain, j, "power"
-        if mset.spike_heat[j]:
-            fn = tariff.heat_fn(j)
-            x = float(bias.heat_kw[j] - graph.heat[k])
-            gain = fn.value(x + mset.mu1 / mset.delta_h[j]) - fn.value(x)
-            if gain > best:
-                best, step, what = gain, j, "heat"
-    return best, step, what
+    t1 = t0 + p_x.shape[-1]
+    gains = []
+    for cost_block, x, on, delta in ((tariff.power_cost_block, p_x, mset.spike_power, mset.delta_p),
+                                     (tariff.heat_cost_block, h_x, mset.spike_heat, mset.delta_h)):
+        on = on[t0:t1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = cost_block(x + np.where(on, mset.mu1 / delta[t0:t1], 0.0), t0)
+            g -= cost_block(x, t0)
+        g[..., ~on] = 0.0
+        g[~np.isfinite(g)] = 0.0
+        gains.append(g)
+    return tuple(gains)
+
+
+def _path_steps(graph: DispatchGraph, path, demand: DemandProfile, tariff: Tariff):
+    """(template, power exchange, heat exchange, power cost, heat cost) of each priced step.
+
+    `path` is a feasible s->q path, whose edges cover steps 0..n-1 in order.
+    Each commodity is priced by one block call over the whole path.
+    """
+    p_dem, h_dem = _demand_steps(graph, demand)
+    _check_tariff(graph, tariff)
+    k = np.array([e.template for e in path.edges], dtype=np.intp)
+    dur = graph.dur[k]
+    if [e.time for e in path.edges] != (np.cumsum(dur) - dur).tolist() or dur.sum() != graph.n_priced_steps:
+        raise ValueError(f"path edges do not cover the {graph.n_priced_steps} priced steps in order")
+    steps = np.repeat(k, dur)
+    p_x = p_dem - graph.power[steps]
+    h_x = h_dem - graph.heat[steps]
+    return steps, p_x, h_x, tariff.power_cost_block(p_x[None], 0)[0], tariff.heat_cost_block(h_x[None], 0)[0]
 
 
 def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) -> None:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .demand import DemandProfile, box_set, forecast_from_history, mixed_set
-from .graph import DispatchGraph, build_graph
+from .graph import DispatchGraph, _path_steps, build_graph
 from .shortest_path import PathResult
 from .solvers import RobustSolution, _solve_mixed, path_cost_at, solve_box, solve_nominal
 
@@ -72,33 +72,15 @@ def build_schedule(graph: DispatchGraph, path: PathResult, demand: DemandProfile
     """
     if not path.feasible:
         raise ValueError("cannot build a schedule from an infeasible result")
-    n = graph.n_priced_steps
-    if demand.n_steps not in (n, n + 1):
-        raise ValueError(f"demand length {demand.n_steps} does not cover {n} priced steps")
-    rows = []
-    for e in path.edges:
-        k = e.template
-        d = int(graph.dur[k])
-        tr = graph.model.transitions[k]
-        op_share = float(graph.op_cost[k]) / d
-        for j in range(e.time, e.time + d):
-            p_util = float(demand.power_kw[j]) - tr.power_kw
-            h_util = float(demand.heat_kw[j]) - tr.heat_kw
-            cost = op_share
-            cost += tariff.power_fn(j).value(p_util)
-            cost += tariff.heat_fn(j).value(h_util)
-            rows.append(
-                ScheduleRow(
-                    t=j,
-                    state=tr.from_state,
-                    control=tr.control,
-                    p_mgt_kw=tr.power_kw,
-                    h_mgt_kw=tr.heat_kw,
-                    p_util_kw=p_util,
-                    h_util_kw=h_util,
-                    step_cost=float(cost),
-                )
-            )
+    steps, p_util, h_util, p_cost, h_cost = _path_steps(graph, path, demand, tariff)
+    # the operating cost spread evenly over the span, then power, then heat
+    cost = graph.op_cost[steps] / graph.dur[steps] + p_cost + h_cost
+    trs = graph.model.transitions
+    rows = [ScheduleRow(t=j, state=trs[k].from_state, control=trs[k].control,
+                        p_mgt_kw=trs[k].power_kw, h_mgt_kw=trs[k].heat_kw,
+                        p_util_kw=p, h_util_kw=h, step_cost=c)
+            for j, (k, p, h, c) in enumerate(zip(steps.tolist(), p_util.tolist(), h_util.tolist(),
+                                                  cost.tolist()))]
     return Schedule(rows=tuple(rows))
 
 

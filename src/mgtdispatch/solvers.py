@@ -38,10 +38,10 @@ from .graph import (
     EdgeCosts,
     _check_mixed_tariff,
     _lower_corner,
+    _path_steps,
     _sell_forbidden,
-    _spike_gain,
+    _spike_increments,
     bias_spike_costs,
-    edge_weight,
     scenario_weights,
 )
 from .shortest_path import PathResult, shortest_path_dag, shortest_path_restricted
@@ -81,33 +81,47 @@ def _infeasible(algorithm: str) -> RobustSolution:
     return RobustSolution(algorithm, PathResult(False), INF, "infeasible")
 
 
+def _fold_edges(graph: DispatchGraph, path: PathResult, step_cost: np.ndarray) -> float:
+    """Right-to-left sum of edge weights, each op_cost plus its step costs left to right."""
+    costs = step_cost.tolist()
+    total = 0.0
+    for e in reversed(path.edges):
+        w = float(graph.op_cost[e.template])
+        for c in costs[e.time:e.time + int(graph.dur[e.template])]:
+            w = w + c
+        total = w + total
+    return total
+
+
 def path_cost_at(graph: DispatchGraph, path: PathResult, demand: DemandProfile, tariff) -> float:
     """Cost of a fixed path under a fixed demand (right-to-left edge fold)."""
     if not path.feasible:
         return INF
-    total = 0.0
-    for e in reversed(path.edges):
-        total = edge_weight(graph, e, demand, tariff) + total
-    return float(total)
+    _, _, _, p_cost, h_cost = _path_steps(graph, path, demand, tariff)
+    return _fold_edges(graph, path, p_cost + h_cost)
 
 
 def _worstcase_parts(graph: DispatchGraph, path: PathResult, uset, tariff) -> tuple[float, float, str]:
-    """(fold total, max spike, scenario) of a path; spike is 0 off mixed sets."""
+    """(fold total, max spike, scenario) of a path; spike is 0 off mixed sets.
+
+    Spike ties keep the earliest step, power first.
+    """
     if isinstance(uset, DemandProfile):
         return path_cost_at(graph, path, uset, tariff), 0.0, "fixed"
     if isinstance(uset, BoxSet):
+        require_monotone(tariff)
         total = path_cost_at(graph, path, worst_corner(uset), tariff)
         best_spike, label = 0.0, "box-corner"
     elif isinstance(uset, MixedSet):
         _check_mixed_tariff(tariff)
-        bias = bias_profile(uset)
-        total = path_cost_at(graph, path, bias, tariff)
-        best_spike = 0.0
-        label = "bias-only"
-        for e in path.edges:
-            gain, step, what = _spike_gain(graph, e, bias, uset, tariff)
-            if gain > best_spike:
-                best_spike, label = gain, f"{what}-spike@{step}"
+        _, p_x, h_x, p_cost, h_cost = _path_steps(graph, path, bias_profile(uset), tariff)
+        total = _fold_edges(graph, path, p_cost + h_cost)
+        # (step, commodity) order, power first, so argmax keeps the earliest
+        gains = np.stack(_spike_increments(tariff, uset, p_x[None], h_x[None], 0), axis=-1).ravel()
+        best_spike, label = 0.0, "bias-only"
+        if gains.size and gains.max() > 0.0:
+            i = int(np.argmax(gains))
+            best_spike, label = float(gains[i]), f"{('power', 'heat')[i % 2]}-spike@{i // 2}"
     else:
         raise TypeError(f"cannot evaluate worst case over {type(uset).__name__}")
     if _sell_forbidden(graph, tariff) and path_cost_at(graph, path, _lower_corner(uset), tariff) == INF:

@@ -119,8 +119,12 @@ def random_instance(rng, *, nonneg=False, monotone=False,
     }
 
 
-def synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4):
-    """(graph, forecast, {sell option: tariff}) for the synthetic plant on a seeded day."""
+def synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4, peak_hours=(10.0, 20.0)):
+    """(graph, forecast, {sell option: tariff}) for the synthetic plant on a seeded day.
+
+    The day starts at midnight, so a short horizon needs an early peak
+    window (peak_hours) to cross a time-of-use boundary.
+    """
     step_s = 15.0
     day = synthetic_day(np.random.default_rng(7), horizon - 1, step_s)
     fc = Forecast(day.power_kw, day.heat_kw, np.maximum(0.08 * day.power_kw, 0.5),
@@ -128,5 +132,6 @@ def synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4):
     g = build_graph(synth_c65_like(n_speeds, n_valves, SynthConfig(step_seconds=step_s)), horizon)
     return g, fc, {sell: tou_tariff(TouConfig(step_seconds=step_s, horizon_steps=horizon - 1,
                                               buy_peak_per_kwh=0.30, buy_offpeak_per_kwh=0.12,
-                                              sell_per_kwh=sell, heat_buy_per_kwh=0.0725))
+                                              sell_per_kwh=sell, heat_buy_per_kwh=0.0725,
+                                              peak_start_hour=peak_hours[0], peak_end_hour=peak_hours[1]))
                    for sell in (0.05, "forbidden")}

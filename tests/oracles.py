@@ -4,16 +4,35 @@ Unlike reference.py, these call into mgtdispatch: brute_force_oracle
 enumerates every s->q path of a built graph and prices each with the
 solvers' own worst-case evaluator, so it checks the search (the
 decomposition, the sweep and the DP), not the pricing. full_sweep is the
-unpruned budget loop that solvers._sweep must reproduce. edge_bias_spike
-prices one edge step by step, the scalar twin of graph.bias_spike_costs.
+unpruned budget loop that solvers._sweep must reproduce, and
+bertsimas_sim_value the mixed optimum by a dual route that needs neither
+the restricted kernel nor the sweep.
+
+The scalar oracles price one edge step by step with
+PiecewiseLinearCost.value, in the block route's operation order:
+edge_weight is the scalar twin of scenario_weights, spike_gain of the
+spike gains, and edge_bias_spike of bias_spike_costs. path_cost_oracle and
+path_worstcase_oracle fold them over a path, the twins of
+solvers.path_cost_at and solvers._worstcase_parts, and schedule_rows_oracle
+is the twin of schedule.build_schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mgtdispatch import Edge, PathResult, RobustSolution, bias_profile, edge_weight, shortest_path_restricted
-from mgtdispatch.graph import _check_mixed_tariff, _lower_corner, _sell_forbidden, _spike_gain
+from mgtdispatch import (
+    BoxSet,
+    DemandProfile,
+    Edge,
+    PathResult,
+    RobustSolution,
+    bias_profile,
+    shortest_path_dag,
+    shortest_path_restricted,
+    worst_corner,
+)
+from mgtdispatch.graph import _check_mixed_tariff, _check_tariff, _demand_steps, _lower_corner, _sell_forbidden
 from mgtdispatch.solvers import _infeasible, _worstcase_parts
 
 INF = float("inf")
@@ -55,7 +74,7 @@ def enumerate_paths(graph, limit: int = 200_000):
         yield from walk(int(x), 0, int(x), [])
 
 
-def _path_result_from_edges(graph, edges: list[Edge], start_state: int) -> PathResult:
+def path_from_edges(graph, edges: list[Edge], start_state: int) -> PathResult:
     nodes = [(0, graph.model.states[start_state])]
     for e in edges:
         nodes.append(graph.head_node(e))
@@ -70,7 +89,7 @@ def brute_force_oracle(graph, uset, tariff, limit: int = 200_000) -> RobustSolut
     """
     best = None
     for start, edges in enumerate_paths(graph, limit):
-        pr = _path_result_from_edges(graph, edges, start)
+        pr = path_from_edges(graph, edges, start)
         total, spike, scenario = _worstcase_parts(graph, pr, uset, tariff)
         cost = float(total + spike)
         if best is None or cost < best[0]:
@@ -96,6 +115,47 @@ def full_sweep(graph, costs, thresholds):
     return best
 
 
+def edge_weight(graph, edge: Edge, demand: DemandProfile, tariff) -> float:
+    """Weight of one edge under a fixed demand; +inf when unusable.
+
+    op_cost plus, step by step, the power cost plus the heat cost.
+    """
+    if not graph.template_exists_at(edge.template, edge.time):
+        raise ValueError(f"edge {edge} does not exist in a {graph.horizon}-layer graph")
+    p_dem, h_dem = _demand_steps(graph, demand)
+    _check_tariff(graph, tariff)
+    k, t = edge.template, edge.time
+    w = float(graph.op_cost[k])
+    for j in range(t, t + int(graph.dur[k])):
+        s = tariff.power_fn(j).value(float(p_dem[j] - graph.power[k]))
+        s = s + tariff.heat_fn(j).value(float(h_dem[j] - graph.heat[k]))
+        w = w + s
+    return w
+
+
+def spike_gain(graph, edge: Edge, bias: DemandProfile, mset, tariff) -> tuple[float, int, str]:
+    """(gain, step, commodity) of the worst single spike in an edge's span over the bias corner.
+
+    (0.0, -1, "") when no spike raises the cost; ties keep the earliest step, power first.
+    """
+    k, t = edge.template, edge.time
+    best, step, what = 0.0, -1, ""
+    for j in range(t, t + int(graph.dur[k])):
+        if mset.spike_power[j]:
+            fn = tariff.power_fn(j)
+            x = float(bias.power_kw[j] - graph.power[k])
+            gain = fn.value(x + mset.mu1 / mset.delta_p[j]) - fn.value(x)
+            if gain > best:
+                best, step, what = gain, j, "power"
+        if mset.spike_heat[j]:
+            fn = tariff.heat_fn(j)
+            x = float(bias.heat_kw[j] - graph.heat[k])
+            gain = fn.value(x + mset.mu1 / mset.delta_h[j]) - fn.value(x)
+            if gain > best:
+                best, step, what = gain, j, "heat"
+    return best, step, what
+
+
 def edge_bias_spike(graph, edge: Edge, mset, tariff) -> tuple[float, float]:
     """(w_bias, w_spike) of one edge under a mixed uncertainty set.
 
@@ -111,4 +171,72 @@ def edge_bias_spike(graph, edge: Edge, mset, tariff) -> tuple[float, float]:
     if w_bias == INF or (_sell_forbidden(graph, tariff)
                          and edge_weight(graph, edge, _lower_corner(mset), tariff) == INF):
         return INF, 0.0
-    return w_bias, _spike_gain(graph, edge, bias, mset, tariff)[0]
+    return w_bias, spike_gain(graph, edge, bias, mset, tariff)[0]
+
+
+def path_cost_oracle(graph, path: PathResult, demand: DemandProfile, tariff) -> float:
+    """Right-to-left fold of edge_weight over a feasible path."""
+    total = 0.0
+    for e in reversed(path.edges):
+        total = edge_weight(graph, e, demand, tariff) + total
+    return total
+
+
+def path_worstcase_oracle(graph, path: PathResult, uset, tariff) -> tuple[float, float, str]:
+    """(fold total, max spike, scenario) of a feasible path over a box or mixed set, by edge.
+
+    The max spike is the first edge's largest spike_gain, so ties keep the
+    earliest step, power first.
+    """
+    if isinstance(uset, BoxSet):
+        total = path_cost_oracle(graph, path, worst_corner(uset), tariff)
+        best, label = 0.0, "box-corner"
+    else:
+        bias = bias_profile(uset)
+        total = path_cost_oracle(graph, path, bias, tariff)
+        best, label = 0.0, "bias-only"
+        for e in path.edges:
+            gain, step, what = spike_gain(graph, e, bias, uset, tariff)
+            if gain > best:
+                best, label = gain, f"{what}-spike@{step}"
+    if _sell_forbidden(graph, tariff) and path_cost_oracle(graph, path, _lower_corner(uset), tariff) == INF:
+        total = INF
+    return float(total), float(best), label
+
+
+def schedule_rows_oracle(graph, path: PathResult, demand: DemandProfile, tariff) -> list[tuple]:
+    """build_schedule's rows as tuples, priced step by step.
+
+    A step costs its share of the operating cost, op_cost / duration, plus
+    the power cost plus the heat cost.
+    """
+    rows = []
+    for e in path.edges:
+        tr = graph.model.transitions[e.template]
+        d = int(graph.dur[e.template])
+        for j in range(e.time, e.time + d):
+            p_util = float(demand.power_kw[j]) - tr.power_kw
+            h_util = float(demand.heat_kw[j]) - tr.heat_kw
+            cost = float(graph.op_cost[e.template]) / d
+            cost += tariff.power_fn(j).value(p_util)
+            cost += tariff.heat_fn(j).value(h_util)
+            rows.append((j, tr.from_state, tr.control, tr.power_kw, tr.heat_kw, p_util, h_util, cost))
+    return rows
+
+
+def bertsimas_sim_value(graph, costs) -> float:
+    """Mixed-set optimum over EdgeCosts by the Bertsimas-Sim dual of the single-spike worst case.
+
+    A path's largest edge spike is min over theta >= 0 of theta plus the sum
+    of max(w_spike - theta, 0) over its edges, and theta can be limited to 0
+    and the spike values. So V* = min over those theta of theta plus the
+    shortest path under w_bias + max(w_spike - theta, 0): one plain DP per
+    theta, with no restricted kernel and no budget sweep. +inf when no path
+    is usable.
+    """
+    best = INF
+    for theta in np.unique(np.append(costs.finite_spike_values(), 0.0)).tolist():
+        res = shortest_path_dag(graph, costs.w_bias + np.maximum(costs.w_spike - theta, 0.0))
+        if res.feasible:
+            best = min(best, theta + res.total)
+    return best

@@ -1,5 +1,7 @@
 """Time-expanded graph construction and edge-cost evaluation."""
 
+import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,22 +15,35 @@ from mgtdispatch import (
     Forecast,
     PiecewiseLinearCost,
     Tariff,
+    bias_profile,
     bias_spike_costs,
     box_set,
     build_graph,
+    build_schedule,
     cooldown_example,
     dump_graph,
-    edge_weight,
     flat_tariff,
     mixed_set,
+    path_cost_at,
     scenario_weights,
     solve_box,
     solve_mixed_additive,
     solve_mixed_exact,
     solve_mixed_multiplicative,
+    solve_nominal,
+    worst_corner,
 )
+from mgtdispatch.solvers import _worstcase_parts
 from instances import random_forecast, random_instance, synth_plant
-from oracles import edge_bias_spike
+from oracles import (
+    edge_bias_spike,
+    edge_weight,
+    enumerate_paths,
+    path_cost_oracle,
+    path_from_edges,
+    path_worstcase_oracle,
+    schedule_rows_oracle,
+)
 from reference import ref_count_nodes_edges
 
 INF = float("inf")
@@ -149,13 +164,15 @@ def _random_cases(rng, n: int):
 
     Random models share output levels mostly at 0.0; the synthetic plant's
     73 templates share 6 power and 24 heat levels, most of them non-zero,
-    and its start and stop spans cover 12 and 24 steps.
+    and its start and stop spans cover 12 and 24 steps. Its peak window
+    covers steps 12..23, so the block evaluator splits at two time-of-use
+    boundaries.
     """
     for _ in range(n):
         inst = random_instance(rng)
         g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
         yield g, inst["forecast"], inst["tariff"]
-    g, fc, tariffs = synth_plant(41)
+    g, fc, tariffs = synth_plant(41, peak_hours=(0.05, 0.1))
     for tariff in tariffs.values():
         yield g, fc, tariff
 
@@ -200,6 +217,64 @@ def test_bias_spike_block_matches_scalar():
         mset = mixed_set(fc, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 3.0)))
         checked_inf += _check_bias_spike(g, mset, tariff)
     assert checked_inf > 0
+
+
+def _paths(g, fc, tariff, sets):
+    """The first 30 enumerated s->q paths, then the nominal, box and mixed solves' paths."""
+    paths = [path_from_edges(g, edges, start) for start, edges in itertools.islice(enumerate_paths(g), 30)]
+    d, bset, mset = sets
+    for sol in (solve_nominal(g, d, tariff), solve_box(g, bset, tariff), solve_mixed_exact(g, mset, tariff)):
+        if sol.feasible:
+            paths.append(sol.path)
+    return paths
+
+
+def test_path_pricing_matches_scalar_oracles():
+    # path_cost_at, the worst-case parts and the schedule rows price through
+    # the block evaluators; each must equal its scalar twin bit for bit. In
+    # the last case every step's power and heat spikes gain exactly 1.0, so
+    # the labels pin the tie-break: earliest step, power first.
+    rng = np.random.default_rng(37)
+    ties = (build_graph(cooldown_example(), 5), Forecast([14.0] * 4, [30.0] * 4, [1.0] * 4, [1.0] * 4),
+            flat_tariff(4, 15.0, 0.5, None, 0.5))
+    n_paths = n_inf = n_spiked = 0
+    for g, fc, tariff in itertools.chain(_random_cases(rng, 30), [ties]):
+        sets = (fc.mean_profile(), box_set(fc, float(rng.uniform(0.0, 2.0))),
+                mixed_set(fc, float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.5, 3.0))))
+        d, bset, mset = sets
+        for path in _paths(g, fc, tariff, sets):
+            n_paths += 1
+            for demand in (d, worst_corner(bset), bias_profile(mset)):
+                assert repr(path_cost_at(g, path, demand, tariff)) == repr(path_cost_oracle(g, path, demand, tariff))
+                rows = [dataclasses.astuple(r) for r in build_schedule(g, path, demand, tariff).rows]
+                assert repr(rows) == repr(schedule_rows_oracle(g, path, demand, tariff))
+            for uset in (bset, mset):
+                got = _worstcase_parts(g, path, uset, tariff)
+                assert repr(got) == repr(path_worstcase_oracle(g, path, uset, tariff))
+                n_inf += got[0] == INF
+                n_spiked += got[1] > 0.0
+    assert n_paths >= 600 and n_inf >= 100 and n_spiked >= 500
+
+
+def test_solves_and_schedules_make_no_scalar_calls(monkeypatch):
+    calls = []
+    scalar = PiecewiseLinearCost.value
+
+    def counted(self, x):
+        calls.append(x)
+        return scalar(self, x)
+
+    monkeypatch.setattr(PiecewiseLinearCost, "value", counted)
+    g, fc, tariffs = synth_plant(41, peak_hours=(0.05, 0.1))
+    d, bset, mset = fc.mean_profile(), box_set(fc, 1.0), mixed_set(fc, 0.5, 2.0)
+    for tariff in tariffs.values():
+        for sol, demand in ((solve_nominal(g, d, tariff), d), (solve_box(g, bset, tariff), worst_corner(bset)),
+                            (solve_mixed_exact(g, mset, tariff), bias_profile(mset))):
+            assert sol.feasible
+            assert build_schedule(g, sol.path, demand, tariff).n_steps == g.n_priced_steps
+    assert calls == []
+    # the counter does see a scalar call
+    assert tariffs[0.05].power_fn(0).value(1.0) > 0.0 and len(calls) == 1
 
 
 def test_layer_blocks_split_edge_spans(monkeypatch):

@@ -1,13 +1,18 @@
 """Robust solver behaviour: exact sweep, grid variants, oracle agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mgtdispatch import (
     DemandProfile,
     Forecast,
+    PiecewiseLinearCost,
+    Tariff,
     box_set,
     build_graph,
+    build_schedule,
     cooldown_example,
     flat_tariff,
     mixed_set,
@@ -189,6 +194,14 @@ def test_path_cost_at_matches_solver_total(smoke):
     g, tariff, fc = smoke
     nom = solve_nominal(g, fc.mean_profile(), tariff)
     assert path_cost_at(g, nom.path, fc.mean_profile(), tariff) == nom.path.total
+    # a path that skips priced steps is refused, not priced in part
+    edges = nom.path.edges
+    for broken in (edges[:-1], edges[1:], edges[:1] + edges[2:] + edges[1:2]):
+        path = dataclasses.replace(nom.path, edges=broken)
+        with pytest.raises(ValueError, match="priced steps"):
+            path_cost_at(g, path, fc.mean_profile(), tariff)
+        with pytest.raises(ValueError, match="priced steps"):
+            build_schedule(g, path, fc.mean_profile(), tariff)
 
 
 def test_forced_shutdown_when_selling_forbidden(smoke):
@@ -291,6 +304,20 @@ def test_robust_solvers_refuse_falling_costs(smoke):
                       lambda *a: solve_mixed_multiplicative(*a, mu=0.5)):
             with pytest.raises(ValueError, match="never fall"):
                 solve(g, mset, tariff)
+
+
+def test_box_worst_case_refuses_falling_costs(smoke):
+    # a falling buy slope makes the lower corner the worst case: the nominal
+    # path prices -4.8 there, not the upper corner's -9.6
+    g, _, _ = smoke
+    steps = np.zeros(4, dtype=np.int32)
+    tariff = Tariff(15.0, 4, (PiecewiseLinearCost(0.5, (0.0,), (-0.2,)),), steps,
+                    (PiecewiseLinearCost(0.0, (0.0,), (0.1,)),), steps)
+    fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
+    nom = solve_nominal(g, fc.mean_profile(), tariff)
+    assert nom.feasible
+    with pytest.raises(ValueError, match="never fall"):
+        path_worstcase_cost(g, nom.path, box_set(fc, 3.0), tariff)
 
 
 def test_enumerate_paths_counts_and_limit(tiny_graph):

@@ -6,6 +6,8 @@ mixed solver must return what that loop returns on the grid it built (key,
 threshold, path) while running no more restricted solves than it has
 candidates. `grid_oracle` builds each grid from a copy of the finite spike
 values; the solvers must build the same bytes without that copy.
+`oracles.bertsimas_sim_value` reaches the exact optimum by plain DPs only,
+so it checks the sweep's value on instances too large to enumerate.
 """
 
 import time
@@ -18,6 +20,7 @@ import pytest
 import mgtdispatch.solvers as solvers
 from mgtdispatch import (
     EdgeCosts,
+    bias_spike_costs,
     build_graph,
     cooldown_example,
     forecast_from_history,
@@ -26,13 +29,14 @@ from mgtdispatch import (
     load_pack_manifest,
     load_tariff,
     mixed_set,
+    shortest_path_dag,
     shortest_path_restricted,
     solve_mixed_additive,
     solve_mixed_exact,
     solve_mixed_multiplicative,
 )
 from instances import random_instance, synth_plant
-from oracles import full_sweep
+from oracles import bertsimas_sim_value, full_sweep
 
 INF = float("inf")
 PACK = Path(__file__).resolve().parents[1] / "data" / "four_season"
@@ -195,6 +199,72 @@ def test_pruned_matches_full_on_pack(season, spy):
     # hundreds of candidates, a few dozen solves at most
     assert exact.thresholds_candidates > 500
     assert exact.thresholds_evaluated < exact.thresholds_candidates / 20
+
+
+def _check_bertsimas_sim(g, mset, tariff, epsilon: float, mu: float) -> bool:
+    """The exact sweep equals the Bertsimas-Sim optimum V*, and the grids keep
+    V_add <= V* + epsilon and V_mul <= (1 + mu) V*; False when infeasible.
+
+    The multiplicative bound needs V* >= 0, which the callers' instances give.
+    """
+    v_star = bertsimas_sim_value(g, bias_spike_costs(g, mset, tariff))
+    exact = solve_mixed_exact(g, mset, tariff)
+    assert exact.feasible == (v_star < INF)
+    if not exact.feasible:
+        return False
+    assert v_star >= 0.0
+    slack = 1e-12 * max(1.0, v_star)
+    assert abs(exact.worst_case_cost - v_star) <= slack
+    v_add = solve_mixed_additive(g, mset, tariff, epsilon=epsilon).worst_case_cost
+    assert v_star - slack <= v_add <= v_star + epsilon + slack
+    v_mul = solve_mixed_multiplicative(g, mset, tariff, mu=mu).worst_case_cost
+    assert v_star - slack <= v_mul <= (1.0 + mu) * v_star + slack
+    return True
+
+
+@pytest.mark.parametrize("season", ["winter", "spring", "summer", "autumn"])
+def test_exact_matches_bertsimas_sim_on_pack(season):
+    g, mset, tariff = _pack_season(season)
+    assert _check_bertsimas_sim(g, mset, tariff, epsilon=0.5, mu=0.05)
+
+
+def test_exact_matches_bertsimas_sim_beyond_brute_force():
+    # horizons up to 40 layers, far past what enumerate_paths can visit
+    rng = np.random.default_rng(227)
+    n_feasible = 0
+    for _ in range(20):
+        inst = random_instance(rng, monotone=True, max_horizon=40)
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.5)))
+        n_feasible += _check_bertsimas_sim(g, mset, inst["tariff"], epsilon=0.3, mu=0.1)
+    # the synthetic plant with selling forbidden, and with a sell price
+    g, fc, tariffs = synth_plant(41, peak_hours=(0.05, 0.1))
+    for tariff in tariffs.values():
+        n_feasible += _check_bertsimas_sim(g, mixed_set(fc, 0.5, 2.0), tariff, epsilon=0.01, mu=0.1)
+    assert n_feasible >= 18
+
+
+def test_sweep_matches_bertsimas_sim_on_spiky_integer_costs():
+    # spikes up to three times the largest bias, so the optimum often gives
+    # up the cheapest bias path to dodge a spike
+    rng = np.random.default_rng(229)
+    n_feasible = n_dodged = 0
+    for _ in range(100):
+        inst = random_instance(rng, max_horizon=30)
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        last = np.arange(g.horizon)[:, None] + g.dur[None, :] > g.horizon - 1
+        w_bias = np.where(last, INF, rng.integers(0, 4, (g.horizon, g.n_templates)).astype(float))
+        w_spike = np.where(last, 0.0, rng.integers(0, 10, (g.horizon, g.n_templates)).astype(float))
+        costs = EdgeCosts(w_bias, w_spike)
+        v_star = bertsimas_sim_value(g, costs)
+        got, _ = solvers._sweep(g, costs, np.unique(w_spike))
+        assert (got is None) == (v_star == INF)
+        if got is None:
+            continue
+        n_feasible += 1
+        assert got[0][0] == v_star
+        n_dodged += got[1].total > shortest_path_dag(g, w_bias).total
+    assert n_feasible >= 90 and n_dodged >= 30
 
 
 def test_tiny_multiplicative_ratio_is_refused_fast():

@@ -4,10 +4,11 @@ Every distinct spike cost is a candidate budget alpha. A budget's solve is a
 spike-capped shortest path, scored as path cost + worst admitted spike. This
 prints that curve for a small plant by solving every budget, then compares
 the exact optimum with the grid approximations and their guarantees. The
-solvers themselves prune the sweep: a solve at alpha whose path has max
-spike S settles every budget in [S, alpha], and budgets that cannot beat the
-best score so far are skipped, so each reports how many of its candidate
-budgets it actually solved.
+solvers themselves walk the budgets down in a chain: a solve at alpha whose
+path has max spike S settles every budget in [S, alpha], the next solve is
+just below S, and the chain stops once no smaller budget can beat the best
+score so far, so each reports how many of its candidate budgets it actually
+solved.
 """
 
 import numpy as np

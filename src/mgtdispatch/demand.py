@@ -56,7 +56,10 @@ class DemandProfile:
 
 @dataclass(frozen=True, eq=False)
 class Forecast:
-    """Per-step mean and population sigma for both commodities."""
+    """Per-step mean and population sigma for both commodities.
+
+    All four traces are finite, non-negative and of one length.
+    """
 
     mu_power: np.ndarray
     mu_heat: np.ndarray
@@ -64,8 +67,14 @@ class Forecast:
     sigma_heat: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu_power", "mu_heat", "sigma_power", "sigma_heat"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        names = ("mu_power", "mu_heat", "sigma_power", "sigma_heat")
+        traces = [_as_trace(getattr(self, name), name) for name in names]
+        if len({len(arr) for arr in traces}) != 1:
+            raise ValueError("forecast traces differ in length")
+        for name, arr in zip(names, traces):
+            if (arr < 0).any():
+                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, arr)
 
     @property
     def n_steps(self) -> int:

@@ -97,11 +97,13 @@ class DispatchGraph:
     def tail_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """(templates, head offsets) as (max out-degree, n_states) slot matrices.
 
-        Column x lists x's templates in template order, padded with
-        n_templates; the head offset of a template is dur * n_states + head
-        (0 in pad slots), the flat index of its head node relative to layer 0.
+        Column x lists x's templates in the walk's tie-break order (duration,
+        head, template), padded with n_templates; the head offset of a
+        template is dur * n_states + head (0 in pad slots), the flat index of
+        its head node relative to layer 0.
         """
-        order = np.argsort(self.tail, kind="stable")
+        # lexsort is stable, so equal (tail, duration, head) keep template order
+        order = np.lexsort((self.head, self.dur, self.tail))
         tails = self.tail[order]
         counts = np.bincount(self.tail, minlength=self.n_states)
         rank = np.arange(self.n_templates) - (np.cumsum(counts) - counts)[tails]
@@ -109,12 +111,6 @@ class DispatchGraph:
         tmpl[rank, tails] = order
         offsets = np.append(self.dur.astype(np.intp) * self.n_states + self.head, 0)
         return tmpl, offsets[tmpl]
-
-    @cached_property
-    def successors(self) -> list[list[tuple[int, int, int]]]:
-        """Per tail state, (duration, head, template) triples in the walk's tie-break order."""
-        cols = (col[col < self.n_templates] for col in self.tail_slots[0].T)
-        return [sorted(zip(self.dur[r].tolist(), self.head[r].tolist(), r.tolist())) for r in cols]
 
     def template_exists_at(self, k: int, t: int) -> bool:
         return 0 <= t and t + int(self.dur[k]) <= self.horizon - 1
@@ -272,12 +268,14 @@ def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray
     +inf where template k has no edge at time t (head layer past the
     horizon) or where the scenario makes the edge unusable (forbidden
     selling). Weight = op_cost + sum over covered steps of the power and
-    heat purchase costs. Costs never fall as demand rises, so the upper
-    corner prices a set's worst case, except that an edge that must export
+    heat purchase costs. Over a set, a tariff whose cost falls as demand
+    rises is refused; costs that never fall let the upper corner price
+    the set's worst case, except that an edge that must export
     at the set's lower corner on a forbidden-sell step is +inf as well.
     """
     lower = None
     if isinstance(demand, (BoxSet, MixedSet)):
+        require_monotone(tariff)
         if _sell_forbidden(graph, tariff):
             lower = _demand_steps(graph, _lower_corner(demand))
         demand = DemandProfile(demand.p0 + demand.dp, demand.h0 + demand.dh)

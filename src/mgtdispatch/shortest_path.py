@@ -9,12 +9,13 @@ and takes one min down the columns. Value arrays carry max-duration +inf
 rows past the horizon, so head indices need no clamp. Template k has no
 edge at layer t when t + dur[k] > horizon - 1; the relaxation reads that
 slot as +inf whatever the weight array holds. The walk starts at the
-initial state with the smallest (value, max spike, index) and always steps
-to the smallest (head time, head state, template) successor whose
-candidate value reproduces the stored optimum exactly without exceeding
-the start's max spike, so the returned path is the lexicographically
-smallest node sequence among the optimal ones and its right-fold cost
-equals the DP value bit for bit.
+initial state with the smallest (value, max spike, index) and scans the
+state's slot column, which lists its templates by (duration, head,
+template). It steps to the first successor whose candidate value
+reproduces the stored optimum exactly without exceeding the start's max
+spike; a head past the horizon reads +inf and never matches. So the
+returned path is the lexicographically smallest node sequence among the
+optimal ones and its right-fold cost equals the DP value bit for bit.
 
 The restricted kernel drops every edge whose spike cost exceeds a budget
 alpha and optimizes the pair (sum of bias costs, max spike along the path)
@@ -79,21 +80,25 @@ def _walk(graph: DispatchGraph, b: np.ndarray, b_aux: np.ndarray, w: np.ndarray,
     if total == INF:
         return _INFEASIBLE
 
+    s, n = graph.n_states, graph.n_templates
+    tmpl, offsets = graph.tail_slots
+    b_flat, aux_flat = b.reshape(-1), b_aux.reshape(-1)
     t = 0
     edges: list[Edge] = []
     nodes = [(0, graph.model.states[x])]
     while t < last:
         target = b[t, x]
-        for d, head, k in graph.successors[x]:
-            if t + d > last or spike[t, k] > alpha:
-                continue
+        base = t * s
+        for k, j in zip(tmpl[:, x].tolist(), offsets[:, x].tolist()):
+            j += base
             # each accepted spike is <= target_aux, so the path's max spike is target_aux
-            if w[t, k] + b[t + d, head] == target and not max(spike[t, k], b_aux[t + d, head]) > target_aux:
+            if (k < n and not spike[t, k] > alpha and w[t, k] + b_flat[j] == target
+                    and not max(spike[t, k], aux_flat[j]) > target_aux):
                 break
         else:
             raise RuntimeError(f"walk lost the optimum at layer {t}, state {x}")
         edges.append(Edge(t, k))
-        t, x = t + d, head
+        t, x = divmod(j, s)
         nodes.append((t, graph.model.states[x]))
     return PathResult(True, tuple(edges), tuple(nodes), float(total), float(target_aux))
 

@@ -19,8 +19,10 @@ alpha) wins. Sweeping every distinct edge spike value is exact; the additive
 and multiplicative variants thin the grid and give V* + eps and (1 + mu) * V*
 guarantees.
 
-The sweep (_sweep) solves only the few candidates that pruning leaves and
-returns what solving all of them would. A solution reports both counts:
+The sweep (_sweep) walks down the grid in a chain: each solve settles every
+threshold from its path's max spike up, so the next solve is just below
+that, and the walk stops once no lower threshold can win. It returns what
+solving every threshold would. A solution reports both counts:
 thresholds_candidates is the size of the grid, thresholds_evaluated the
 restricted solves run.
 """
@@ -163,7 +165,6 @@ def solve_box(graph: DispatchGraph, bset: BoxSet, tariff) -> RobustSolution:
     When a priced step forbids selling, edges that are +inf at the lower
     corner are dropped too.
     """
-    require_monotone(tariff)
     corner = worst_corner(bset)
     return _solve_fixed(graph, scenario_weights(graph, bset, tariff), corner, tariff, "box", "box-corner")
 
@@ -174,65 +175,42 @@ def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
     Returns ((key, path, alpha) or None when every threshold is infeasible,
     restricted solves run). The result is the one a solve at every threshold
     would give (tests/test_sweep.py keeps that loop as the oracle), but most
-    thresholds are never solved. The driver solves the
-    top threshold, then the bottom one, then bisects, using three facts:
+    thresholds are never solved. The driver walks down from the top
+    threshold, using three facts:
 
     - a solve at a_i giving (B, S) fixes B and S on every threshold in
       [S, a_i], since its path stays feasible there and fewer edges never
       lower B; the smallest threshold a_m >= S has the best key of them,
-      (B + S, S, a_m), so only thresholds below a_m stay open;
-    - an open interval (a_lo, a_hi) is skipped when the incumbent key is
-      below (B(a_hi) + a_lo, a_lo, inf): an interior winner would need a
-      max spike above a_lo (else a_lo's key is no worse) and a bias of at
-      least B(a_hi);
+      (B + S, S, a_m), so the next solve is at a_(m-1);
+    - no lower threshold has a bias below B and spikes are never negative,
+      so the walk stops once the incumbent key is below (B, 0, inf);
     - an infeasible solve makes every lower threshold infeasible.
 
     A winning threshold that was inferred, not solved, is solved at the end
     for its path.
     """
-    paths: dict[float, PathResult] = {}
-    best = None  # (key, index of its threshold)
+    best = None  # (key, its path or None when inferred)
     solves = 0
-
-    def solve(i: int):
-        """Solve at thresholds[i] and offer its key; (B, m) or None when infeasible."""
-        nonlocal best, solves
+    i = len(thresholds) - 1
+    while i >= 0:
+        res = shortest_path_restricted(graph, costs, float(thresholds[i]))
         solves += 1
-        alpha = float(thresholds[i])
-        res = paths[alpha] = shortest_path_restricted(graph, costs, alpha)
         if not res.feasible:
-            return None
+            break
         m = int(np.searchsorted(thresholds, res.aux_max))
         key = (res.total + res.aux_max, res.aux_max, float(thresholds[m]))
         if best is None or key < best[0]:
-            best = (key, m)
-        return res.total, m
-
-    top = solve(len(thresholds) - 1)
-    if top is None:
+            best = (key, res if m == i else None)
+        if best[0] < (res.total, 0.0, INF):
+            break
+        i = m - 1
+    if best is None:
         return None, solves
-    # open intervals (lo, hi) of unsolved thresholds, with B(a_hi)
-    stack = []
-    if top[1] > 0:
-        solve(0)
-        stack.append((0, top[1], top[0]))
-    while stack:
-        lo, hi, b_hi = stack.pop()
-        a_lo = float(thresholds[lo])
-        if hi - lo < 2 or best[0] < (b_hi + a_lo, a_lo, INF):
-            continue
-        mid = (lo + hi) // 2
-        got = solve(mid)
-        stack.append((mid, hi, b_hi))
-        if got is not None and got[1] > lo:
-            stack.append((lo, got[1], got[0]))
-
-    m = best[1]
-    alpha = float(thresholds[m])
-    if alpha not in paths:
-        solve(m)
-    res = paths[alpha]
-    return ((res.total + res.aux_max, res.aux_max, alpha), res, alpha), solves
+    key, path = best
+    if path is None:
+        path = shortest_path_restricted(graph, costs, key[2])
+        solves += 1
+    return (key, path, key[2]), solves
 
 
 def _finish_mixed(graph, mset, tariff, costs: EdgeCosts, thresholds: np.ndarray,
@@ -259,8 +237,8 @@ def _check_grid_size(costs: EdgeCosts, size: float, asked: str) -> None:
 def solve_mixed_exact(graph: DispatchGraph, mset: MixedSet, tariff) -> RobustSolution:
     """Exact mixed-set solve: sweep every distinct edge spike cost.
 
-    Zero is always swept: the last layer holds no edge, and an absent edge
-    carries spike 0.
+    Zero is always a candidate: the last layer holds no edge, and an absent
+    edge carries spike 0.
     """
     costs = bias_spike_costs(graph, mset, tariff)
     thresholds = np.unique(costs.w_spike)

@@ -34,6 +34,22 @@ def test_forecast_mean_and_population_sigma():
         forecast_from_history([days[0], _const_profile(1, 1, n=4)])
 
 
+def test_forecast_validation():
+    good = [14.0] * 4
+    with pytest.raises(ValueError, match="non-negative"):
+        Forecast(good, [10.0] * 4, [-2.0] * 4, [-2.0] * 4)
+    with pytest.raises(ValueError, match="mu_heat must be non-negative"):
+        Forecast(good, [10.0, -1.0, 10.0, 10.0], good, good)
+    with pytest.raises(ValueError, match="differ in length"):
+        Forecast(good, good, good, [1.0] * 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        Forecast(good, good, [1.0, np.nan, 1.0, 1.0], good)
+    with pytest.raises(ValueError, match="1-d"):
+        Forecast(np.ones((2, 2)), good, good, good)
+    fc = Forecast(good, good, [0.0] * 4, good)
+    assert fc.n_steps == 4 and fc.sigma_power.dtype == np.float64
+
+
 def test_box_halfwidth():
     fc = Forecast(np.full(2, 50.0), np.full(2, 60.0), np.full(2, 10.0), np.full(2, 4.0))
     b = box_set(fc, 0.13)

@@ -420,3 +420,16 @@ def test_spike_sizes_scale_with_sigma():
             assert mset.mu1 / mset.delta_p[t] == pytest.approx(3.0 * fc.sigma_power[t])
         else:
             assert not mset.spike_power[t]
+
+
+def test_set_weights_refuse_falling_costs(tiny_graph):
+    # a falling buy slope moves a set's worst case off its upper corner, so
+    # pricing that corner would understate it
+    steps = np.zeros(4, dtype=np.int32)
+    tariff = Tariff(15.0, 4, (PiecewiseLinearCost(0.5, (0.0,), (-0.2,)),), steps,
+                    (PiecewiseLinearCost(0.0, (0.0,), (0.1,)),), steps)
+    fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
+    assert np.isfinite(scenario_weights(tiny_graph, fc.mean_profile(), tariff)).any()
+    for uset in (box_set(fc, 1.0), mixed_set(fc, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="never fall"):
+            scenario_weights(tiny_graph, uset, tariff)

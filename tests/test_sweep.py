@@ -1,11 +1,14 @@
-"""The pruned budget sweep against a solve at every threshold.
+"""The budget sweep's descending chain against a solve at every threshold.
 
-`oracles.full_sweep` is the unpruned loop the pruned driver replaced: one
-restricted solve per candidate, best by (score, max spike, alpha). Every
-mixed solver must return what that loop returns on the grid it built (key,
-threshold, path) while running no more restricted solves than it has
-candidates. `grid_oracle` builds each grid from a copy of the finite spike
-values; the solvers must build the same bytes without that copy.
+`oracles.full_sweep` is the unpruned loop: one restricted solve per
+candidate, best by (score, max spike, alpha). Every mixed solver must
+return what that loop returns on the grid it built (key, threshold, path)
+while running no more restricted solves than it has candidates. The chain
+walks down from the top threshold: a solve whose path has max spike S
+settles every threshold from S up, the next solve is just below that, and
+the walk stops on an infeasible solve or once no lower threshold can beat
+the best key. `grid_oracle` builds each grid from a copy of the finite
+spike values; the solvers must build the same bytes without that copy.
 `oracles.bertsimas_sim_value` reaches the exact optimum by plain DPs only,
 so it checks the sweep's value on instances too large to enumerate.
 """
@@ -157,22 +160,28 @@ def test_pruned_matches_full_on_tied_integer_costs():
     assert n_saved >= 100
 
 
+def _one_step_costs(edges):
+    """Edge costs of a one-step graph holding only the given (template, bias, spike) edges."""
+    g = build_graph(cooldown_example(), 2)
+    shape = (g.horizon, g.n_templates)
+    w_bias = np.full(shape, INF)
+    w_spike = np.zeros(shape)
+    for k, bias, spike in edges:
+        w_bias[0, k], w_spike[0, k] = bias, spike
+    return g, EdgeCosts(w_bias, w_spike)
+
+
 def test_grid_winner_with_spike_between_grid_points():
     # One step, grid budgets 0, 3, 6, three single-edge paths:
     #   A: bias 9,   spike 5  -> best at budget 6, key (14, 5, 6)
     #   W: bias 9.5, spike 1  -> best at budget 3, key (10.5, 1, 3)
     #   C: bias 11,  spike 0  -> best at budget 0, key (11, 0, 0)
-    # After the top and bottom solves the incumbent is C's 11. W's spike 1
-    # lies between the grid points 0 and 3, so its score 10.5 is below
-    # B(6) + 3 = 12: a bound built on the next grid point above a_lo would
-    # skip budget 3 and return C. The a_lo bound, B(6) + 0 = 9, solves it.
-    g = build_graph(cooldown_example(), 2)
-    shape = (g.horizon, g.n_templates)
-    w_bias = np.full(shape, INF)
-    w_spike = np.zeros(shape)
-    for k, bias, spike in ((0, 9.0, 5.0), (2, 9.5, 1.0), (3, 11.0, 0.0)):
-        w_bias[0, k], w_spike[0, k] = bias, spike
-    costs = EdgeCosts(w_bias, w_spike)
+    # The chain solves 6 (A, which settles only budget 6), then 3 (W, whose
+    # spike 1 lies between the grid points 0 and 3, so it settles budget 3
+    # alone), then 0 (C). W's score 10.5 is not below the stop bound
+    # B(3) = 9.5, so the walk reaches the bottom, and W wins where it was
+    # solved.
+    g, costs = _one_step_costs(((0, 9.0, 5.0), (2, 9.5, 1.0), (3, 11.0, 0.0)))
     thresholds = np.array([0.0, 3.0, 6.0])
     want = full_sweep(g, costs, thresholds)
     got, solves = solvers._sweep(g, costs, thresholds)
@@ -181,13 +190,38 @@ def test_grid_winner_with_spike_between_grid_points():
     assert solves == 3
 
 
-def _pack_season(season: str):
+def test_stop_bound_ends_the_chain_above_the_bottom(monkeypatch):
+    # One step, grid budgets 0..4, three single-edge paths:
+    #   A: bias 5, spike 2  -> key (7, 2, 2) for every budget from 2 up
+    #   C: bias 8, spike 1  -> key (9, 1, 1)
+    #   D: bias 9, spike 0  -> key (9, 0, 0)
+    # The solve at 4 takes A and settles budgets 2..4; the solve at 1 takes
+    # C with bias 8, and A's score 7 is below (8, 0, inf), so budget 0 is
+    # never solved. A's budget 2 was inferred and is solved last for its path.
+    g, costs = _one_step_costs(((0, 5.0, 2.0), (2, 8.0, 1.0), (3, 9.0, 0.0)))
+    thresholds = np.arange(5.0)
+    solved = []
+
+    def restricted(graph, costs, alpha):
+        solved.append(alpha)
+        return shortest_path_restricted(graph, costs, alpha)
+
+    monkeypatch.setattr(solvers, "shortest_path_restricted", restricted)
+    want = full_sweep(g, costs, thresholds)
+    got, solves = solvers._sweep(g, costs, thresholds)
+    assert want[0] == (7.0, 2.0, 2.0)
+    assert got[0] == want[0] and got[1] == want[1] and got[2] == 2.0
+    assert solved == [4.0, 1.0, 2.0] and solves == 3
+
+
+def _pack_season(season: str, alpha2: float | None = None):
     manifest = load_pack_manifest(str(PACK))
     model = load_model(str(PACK / manifest["model"]))
     tariff = load_tariff(str(PACK / season / "tariff.json"))
     forecast = forecast_from_history(load_history(str(PACK / season / "history")))
     graph = build_graph(model, forecast.n_steps + 1)
-    return graph, mixed_set(forecast, manifest["alpha1"], manifest["alpha2"]), tariff
+    alpha2 = manifest["alpha2"] if alpha2 is None else alpha2
+    return graph, mixed_set(forecast, manifest["alpha1"], alpha2), tariff
 
 
 @pytest.mark.parametrize("season", ["winter", "spring", "summer", "autumn"])
@@ -196,9 +230,9 @@ def test_pruned_matches_full_on_pack(season, spy):
     n_feasible, _ = _check_against_full(g, mset, tariff, spy)
     assert n_feasible == 6
     exact = solve_mixed_exact(g, mset, tariff)
-    # hundreds of candidates, a few dozen solves at most
+    # hundreds of candidates, a handful of solves
     assert exact.thresholds_candidates > 500
-    assert exact.thresholds_evaluated < exact.thresholds_candidates / 20
+    assert exact.thresholds_evaluated == {"winter": 6, "spring": 3, "summer": 2, "autumn": 6}[season]
 
 
 def _check_bertsimas_sim(g, mset, tariff, epsilon: float, mu: float) -> bool:
@@ -226,6 +260,18 @@ def _check_bertsimas_sim(g, mset, tariff, epsilon: float, mu: float) -> bool:
 def test_exact_matches_bertsimas_sim_on_pack(season):
     g, mset, tariff = _pack_season(season)
     assert _check_bertsimas_sim(g, mset, tariff, epsilon=0.5, mu=0.05)
+
+
+@pytest.mark.parametrize("season", ["winter", "autumn"])
+def test_spike_moves_the_pack_plan_at_wide_budget(season):
+    # at alpha2 = 40, the CLI's default spike width, the exact plan gives up
+    # the cheapest bias path to dodge a spike, so a sweep that ignored the
+    # spike in its score would miss V* here
+    g, mset, tariff = _pack_season(season, alpha2=40.0)
+    costs = bias_spike_costs(g, mset, tariff)
+    exact = solve_mixed_exact(g, mset, tariff)
+    assert exact.worst_case_cost == bertsimas_sim_value(g, costs)
+    assert exact.path.edges != shortest_path_dag(g, costs.w_bias).edges
 
 
 def test_exact_matches_bertsimas_sim_beyond_brute_force():

@@ -12,8 +12,11 @@ deviation. Two uncertainty descriptions are supported:
   extra demand on any single step t. Steps with sigma = 0 carry no spike at
   all (the forecaster is certain there).
 
-Time step t of a profile covers wall-clock seconds
-[t*step_seconds, (t+1)*step_seconds); files index steps from 0.
+Every trace is checked when built: finite, non-negative and of one length;
+a mixed set's weights must be > 0 and its budget finite and >= 0. Both
+sets own their corners (upper, lower). Time step t of a profile covers
+wall-clock seconds [t*step_seconds, (t+1)*step_seconds); files index steps
+from 0.
 """
 
 from __future__ import annotations
@@ -25,13 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_trace(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def _check_traces(obj, what: str, names) -> None:
+    """Store each named field of obj as a float64 trace: non-empty, 1-d, finite, non-negative, one length."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"{name} must be a non-empty 1-d sequence")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        if (arr < 0).any():
+            raise ValueError(f"{name} must be non-negative")
+        object.__setattr__(obj, name, arr)
+    if len({len(getattr(obj, name)) for name in names}) != 1:
+        raise ValueError(f"{what} traces differ in length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +49,7 @@ class DemandProfile:
     heat_kw: np.ndarray
 
     def __post_init__(self):
-        p = _as_trace(self.power_kw, "power_kw")
-        h = _as_trace(self.heat_kw, "heat_kw")
-        if len(p) != len(h):
-            raise ValueError("power and heat traces differ in length")
-        if (p < 0).any() or (h < 0).any():
-            raise ValueError("demand must be non-negative")
-        object.__setattr__(self, "power_kw", p)
-        object.__setattr__(self, "heat_kw", h)
+        _check_traces(self, "demand", ("power_kw", "heat_kw"))
 
     @property
     def n_steps(self) -> int:
@@ -67,14 +69,7 @@ class Forecast:
     sigma_heat: np.ndarray
 
     def __post_init__(self):
-        names = ("mu_power", "mu_heat", "sigma_power", "sigma_heat")
-        traces = [_as_trace(getattr(self, name), name) for name in names]
-        if len({len(arr) for arr in traces}) != 1:
-            raise ValueError("forecast traces differ in length")
-        for name, arr in zip(names, traces):
-            if (arr < 0).any():
-                raise ValueError(f"{name} must be non-negative")
-            object.__setattr__(self, name, arr)
+        _check_traces(self, "forecast", ("mu_power", "mu_heat", "sigma_power", "sigma_heat"))
 
     @property
     def n_steps(self) -> int:
@@ -85,42 +80,64 @@ class Forecast:
 
 
 @dataclass(frozen=True, eq=False)
-class BoxSet:
-    """Componentwise interval uncertainty: demand in [p0 - dp, p0 + dp] etc."""
+class _Box:
+    """Per-step intervals [p0 - dp, p0 + dp] and [h0 - dh, h0 + dh], all four traces checked."""
 
     p0: np.ndarray
     h0: np.ndarray
     dp: np.ndarray
     dh: np.ndarray
 
+    def __post_init__(self):
+        _check_traces(self, "uncertainty set", ("p0", "h0", "dp", "dh"))
+
     @property
     def n_steps(self) -> int:
         return len(self.p0)
 
+    def upper(self) -> DemandProfile:
+        """Upper corner of the intervals; the worst case when costs never fall as demand rises."""
+        return DemandProfile(self.p0 + self.dp, self.h0 + self.dh)
+
+    def lower(self) -> DemandProfile:
+        """Lower corner of the intervals; demand stops at zero."""
+        return DemandProfile(np.maximum(self.p0 - self.dp, 0.0), np.maximum(self.h0 - self.dh, 0.0))
+
 
 @dataclass(frozen=True, eq=False)
-class MixedSet:
+class BoxSet(_Box):
+    """Componentwise interval uncertainty: demand in [p0 - dp, p0 + dp] etc."""
+
+
+@dataclass(frozen=True, eq=False)
+class MixedSet(_Box):
     """Box plus a budgeted single-commodity spike component.
 
     delta_p/delta_h are the budget weights (1/sigma); steps where the
     corresponding spike_power/spike_heat flag is False admit no spike and
     their delta is stored as +inf. mu1 is the shared spike budget, so an
     enabled step t can receive a spike of mu1 / delta(t) = mu1 * sigma(t).
+    Spikes only add demand, so the box's lower corner is the set's.
     """
 
-    p0: np.ndarray
-    h0: np.ndarray
-    dp: np.ndarray
-    dh: np.ndarray
     delta_p: np.ndarray
     delta_h: np.ndarray
     mu1: float
     spike_power: np.ndarray
     spike_heat: np.ndarray
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.p0)
+    def __post_init__(self):
+        super().__post_init__()
+        for name, dtype in (("delta_p", float), ("delta_h", float), ("spike_power", bool), ("spike_heat", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.shape != (self.n_steps,):
+                raise ValueError(f"{name} must hold one entry per step ({self.n_steps}), got shape {arr.shape}")
+            if dtype is float and not (arr > 0).all():
+                raise ValueError(f"{name} must be > 0 (+inf where no spike lands)")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "mu1", float(self.mu1))
+        if not (self.mu1 >= 0 and np.isfinite(self.mu1)):
+            raise ValueError(f"mu1 must be finite and >= 0, got {self.mu1!r}")
 
 
 def forecast_from_history(days: list[DemandProfile]) -> Forecast:
@@ -163,8 +180,6 @@ def mixed_set(forecast: Forecast, alpha1: float, alpha2: float) -> MixedSet:
     """
     if not (alpha1 >= 0 and np.isfinite(alpha1)):
         raise ValueError(f"alpha1 must be finite and >= 0, got {alpha1!r}")
-    if not (alpha2 >= 0 and np.isfinite(alpha2)):
-        raise ValueError(f"alpha2 must be finite and >= 0, got {alpha2!r}")
     sp = forecast.sigma_power
     sh = forecast.sigma_heat
     with np.errstate(divide="ignore"):
@@ -177,7 +192,7 @@ def mixed_set(forecast: Forecast, alpha1: float, alpha2: float) -> MixedSet:
         dh=alpha1 * sh,
         delta_p=delta_p,
         delta_h=delta_h,
-        mu1=float(alpha2),
+        mu1=alpha2,
         spike_power=sp > 0,
         spike_heat=sh > 0,
     )
@@ -187,14 +202,14 @@ def worst_corner(box: BoxSet) -> DemandProfile:
     """Upper corner of a box set; the worst case under monotone edge costs."""
     if not isinstance(box, BoxSet):
         raise TypeError(f"worst_corner needs a BoxSet, got {type(box).__name__}")
-    return DemandProfile(box.p0 + box.dp, box.h0 + box.dh)
+    return box.upper()
 
 
 def bias_profile(mset: MixedSet) -> DemandProfile:
     """Spikeless upper corner of the mixed set's box component."""
     if not isinstance(mset, MixedSet):
         raise TypeError(f"bias_profile needs a MixedSet, got {type(mset).__name__}")
-    return DemandProfile(mset.p0 + mset.dp, mset.h0 + mset.dh)
+    return mset.upper()
 
 
 DEMAND_HEADER = ["t", "power_kw", "heat_kw"]

@@ -18,7 +18,9 @@ priced once per distinct output level and step, a block of layers at a
 time, and each edge folds its template's entries of those tables over its
 span. A fixed path is priced by the same block evaluators on its own steps
 (_path_steps), so paths, worst cases and schedules have one pricing route;
-tests/oracles.py keeps the per-edge scalar twins as oracles.
+tests/oracles.py keeps the per-edge scalar twins as oracles. Edge weights
+and plan worst cases over a set pass one gate, _set_corners, for its
+tariff rules and its lower corner.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import BoxSet, DemandProfile, MixedSet, bias_profile
+from .demand import BoxSet, DemandProfile, MixedSet
 from .model import TurbineModel, validate_model
 from .tariff import Tariff, check_convexity, require_monotone
 
@@ -268,18 +270,19 @@ def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray
     +inf where template k has no edge at time t (head layer past the
     horizon) or where the scenario makes the edge unusable (forbidden
     selling). Weight = op_cost + sum over covered steps of the power and
-    heat purchase costs. Over a set, a tariff whose cost falls as demand
-    rises is refused; costs that never fall let the upper corner price
-    the set's worst case, except that an edge that must export
-    at the set's lower corner on a forbidden-sell step is +inf as well.
+    heat purchase costs. Over a set, _set_corners refuses a tariff the
+    upper corner cannot price the worst case under, and an edge that must
+    export at the set's lower corner on a forbidden-sell step is +inf.
     """
     lower = None
     if isinstance(demand, (BoxSet, MixedSet)):
-        require_monotone(tariff)
-        if _sell_forbidden(graph, tariff):
-            lower = _demand_steps(graph, _lower_corner(demand))
-        demand = DemandProfile(demand.p0 + demand.dp, demand.h0 + demand.dh)
+        lower = _set_corners(graph, demand, tariff)
+        demand = demand.upper()
+    elif not isinstance(demand, DemandProfile):
+        raise TypeError(f"scenario_weights needs a DemandProfile, BoxSet or MixedSet, got {type(demand).__name__}")
     p_dem, h_dem = _demand_steps(graph, demand)
+    if lower is not None:
+        p_low, h_low = _demand_steps(graph, lower)
     _check_tariff(graph, tariff)
     (p_lvl, _), (h_lvl, _) = graph.output_levels
 
@@ -287,7 +290,6 @@ def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray
         p = tariff.power_cost_block(p_dem[None, a:b] - p_lvl[:, None], a)
         h = tariff.heat_cost_block(h_dem[None, a:b] - h_lvl[:, None], a)
         if lower is not None:
-            p_low, h_low = lower
             p[tariff.power_cost_block(p_low[None, a:b] - p_lvl[:, None], a) == INF] = INF
             h[tariff.heat_cost_block(h_low[None, a:b] - h_lvl[:, None], a) == INF] = INF
         return p.T, h.T
@@ -295,18 +297,25 @@ def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray
     return _fold_layers(graph, step_costs, np.add, graph.op_cost, INF)
 
 
-def _sell_forbidden(graph: DispatchGraph, tariff: Tariff) -> bool:
-    """True when some priced step prices a negative exchange at +inf (forbidden selling)."""
+def _set_corners(graph: DispatchGraph, uset, tariff: Tariff) -> DemandProfile | None:
+    """Refuse a tariff a set's corner pricing does not hold for; the lower corner when it binds.
+
+    Costs that fall as demand rises move the worst case off the upper
+    corner, and a mixed set's bias/spike decomposition also needs convex
+    costs. Returns the set's lower corner when some priced step forbids
+    selling (prices a negative exchange at +inf), else None.
+    """
+    require_monotone(tariff)
+    if isinstance(uset, MixedSet):
+        bends = check_convexity(tariff)
+        if bends:
+            raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
     n = graph.n_priced_steps
-    return any(functions[i].neg_slope is None
-               for functions, index in ((tariff.power_functions, tariff.power_index),
-                                        (tariff.heat_functions, tariff.heat_index))
-               for i in np.unique(index[:n]))
-
-
-def _lower_corner(uset) -> DemandProfile:
-    """Lowest demand of a box or mixed set; spikes only add, and demand stops at zero."""
-    return DemandProfile(np.maximum(uset.p0 - uset.dp, 0.0), np.maximum(uset.h0 - uset.dh, 0.0))
+    sell_forbidden = any(functions[i].neg_slope is None
+                         for functions, index in ((tariff.power_functions, tariff.power_index),
+                                                  (tariff.heat_functions, tariff.heat_index))
+                         for i in np.unique(index[:n]))
+    return uset.lower() if sell_forbidden else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,12 +334,6 @@ class EdgeCosts:
     w_bias: np.ndarray
     w_spike: np.ndarray
 
-    def bias_of(self, e: Edge) -> float:
-        return float(self.w_bias[e.time, e.template])
-
-    def spike_of(self, e: Edge) -> float:
-        return float(self.w_spike[e.time, e.template])
-
     def finite_spike_values(self) -> np.ndarray:
         """Spike values of every usable edge (finite bias), flattened."""
         return self.w_spike[np.isfinite(self.w_bias)]
@@ -340,11 +343,8 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
     """Vectorized bias/spike decomposition for every edge under a mixed set."""
     if not isinstance(mset, MixedSet):
         raise TypeError(f"bias_spike_costs needs a MixedSet, got {type(mset).__name__}")
-    _check_mixed_tariff(tariff)
-    bias = bias_profile(mset)
     w_bias = scenario_weights(graph, mset, tariff)
-
-    p_dem, h_dem = _demand_steps(graph, bias)
+    p_dem, h_dem = _demand_steps(graph, mset.upper())
     (p_lvl, _), (h_lvl, _) = graph.output_levels
 
     def step_gains(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,14 +354,6 @@ def bias_spike_costs(graph: DispatchGraph, mset: MixedSet, tariff: Tariff) -> Ed
     w_spike = _fold_layers(graph, step_gains, np.maximum, np.zeros(graph.n_templates), 0.0)
     w_spike[~np.isfinite(w_bias)] = 0.0
     return EdgeCosts(w_bias=w_bias, w_spike=w_spike)
-
-
-def _check_mixed_tariff(tariff: Tariff) -> None:
-    # the bias/spike decomposition needs convex costs that never fall as demand rises
-    bends = check_convexity(tariff)
-    if bends:
-        raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
-    require_monotone(tariff)
 
 
 def _spike_increments(tariff: Tariff, mset: MixedSet, p_x: np.ndarray, h_x: np.ndarray,
@@ -403,19 +395,18 @@ def _path_steps(graph: DispatchGraph, path, demand: DemandProfile, tariff: Tarif
     return steps, p_x, h_x, tariff.power_cost_block(p_x[None], 0)[0], tariff.heat_cost_block(h_x[None], 0)[0]
 
 
-def dump_graph(graph: DispatchGraph, path: str, costs: EdgeCosts | None = None) -> None:
+def dump_graph(graph: DispatchGraph, path: str) -> None:
     """Write the edge list as text for debugging: one row per edge."""
     states = graph.model.states
     with open(path, "w") as fh:
-        fh.write("tail_t,tail_state,head_t,head_state,control,w_bias,w_spike\n")
+        fh.write("tail_t,tail_state,head_t,head_state,control\n")
         for s, m in zip(states, graph.initial_mask):
             if m:
-                fh.write(f",s,0,{s},,0.0,0.0\n")
+                fh.write(f",s,0,{s},\n")
         for e in graph.edges():
             (t1, x1), (t2, x2) = graph.tail_node(e), graph.head_node(e)
-            w = "," if costs is None else f"{costs.bias_of(e)!r},{costs.spike_of(e)!r}"
-            fh.write(f"{t1},{x1},{t2},{x2},{graph.control(e)},{w}\n")
+            fh.write(f"{t1},{x1},{t2},{x2},{graph.control(e)}\n")
         for s, m in zip(states, graph.final_mask):
             if m:
-                fh.write(f"{graph.horizon - 1},{s},,q,,0.0,0.0\n")
+                fh.write(f"{graph.horizon - 1},{s},,q,\n")
 

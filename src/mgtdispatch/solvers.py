@@ -1,12 +1,13 @@
 """Robust dispatch solvers.
 
 solve_nominal prices one fixed demand. solve_box handles per-step interval
-("box") uncertainty: edge costs never decrease when demand grows (tariffs
-with a negative slope are refused), so the robust optimum is the plain
-shortest path at the upper corner. Forbidden selling is the one exception:
-an edge that must export at the lower corner costs +inf there, so it is
-unusable whatever the upper corner charges. The same holds at the lower
-corner of a mixed set's box component, since spikes only add demand.
+("box") uncertainty: edge costs never decrease when demand grows
+(graph._set_corners refuses a negative slope, for edge weights and plan
+worst cases alike), so the robust optimum is the plain shortest path at
+the upper corner. Forbidden selling is the one exception: an edge that
+must export at the set's lower corner costs +inf there, so it is unusable
+whatever the upper corner charges; spikes only add demand, so a mixed set
+shares its box part's lower corner.
 
 The mixed solvers handle box-plus-budget uncertainty where on top of the
 interval deviation at most one scaled spike can land on a single step and
@@ -34,20 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import BoxSet, DemandProfile, MixedSet, bias_profile, worst_corner
+from .demand import BoxSet, DemandProfile, MixedSet, worst_corner
 from .graph import (
     DispatchGraph,
     EdgeCosts,
-    _check_mixed_tariff,
-    _lower_corner,
     _path_steps,
-    _sell_forbidden,
+    _set_corners,
     _spike_increments,
     bias_spike_costs,
     scenario_weights,
 )
 from .shortest_path import PathResult, shortest_path_dag, shortest_path_restricted
-from .tariff import require_monotone
 
 INF = float("inf")
 # a thinned grid may always hold this many budgets: it builds in
@@ -110,23 +108,20 @@ def _worstcase_parts(graph: DispatchGraph, path: PathResult, uset, tariff) -> tu
     """
     if isinstance(uset, DemandProfile):
         return path_cost_at(graph, path, uset, tariff), 0.0, "fixed"
-    if isinstance(uset, BoxSet):
-        require_monotone(tariff)
-        total = path_cost_at(graph, path, worst_corner(uset), tariff)
-        best_spike, label = 0.0, "box-corner"
-    elif isinstance(uset, MixedSet):
-        _check_mixed_tariff(tariff)
-        _, p_x, h_x, p_cost, h_cost = _path_steps(graph, path, bias_profile(uset), tariff)
-        total = _fold_edges(graph, path, p_cost + h_cost)
+    if not isinstance(uset, (BoxSet, MixedSet)):
+        raise TypeError(f"cannot evaluate worst case over {type(uset).__name__}")
+    lower = _set_corners(graph, uset, tariff)
+    _, p_x, h_x, p_cost, h_cost = _path_steps(graph, path, uset.upper(), tariff)
+    total = _fold_edges(graph, path, p_cost + h_cost)
+    best_spike, label = 0.0, "box-corner"
+    if isinstance(uset, MixedSet):
         # (step, commodity) order, power first, so argmax keeps the earliest
         gains = np.stack(_spike_increments(tariff, uset, p_x[None], h_x[None], 0), axis=-1).ravel()
-        best_spike, label = 0.0, "bias-only"
+        label = "bias-only"
         if gains.size and gains.max() > 0.0:
             i = int(np.argmax(gains))
             best_spike, label = float(gains[i]), f"{('power', 'heat')[i % 2]}-spike@{i // 2}"
-    else:
-        raise TypeError(f"cannot evaluate worst case over {type(uset).__name__}")
-    if _sell_forbidden(graph, tariff) and path_cost_at(graph, path, _lower_corner(uset), tariff) == INF:
+    if lower is not None and path_cost_at(graph, path, lower, tariff) == INF:
         total = INF
     return float(total), float(best_spike), label
 

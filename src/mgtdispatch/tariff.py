@@ -135,6 +135,16 @@ def _eval_block(x: np.ndarray, functions, index: np.ndarray, t0: int) -> np.ndar
     return out
 
 
+def _flag_steps(tariff: Tariff, flag) -> list[str]:
+    """One line per step whose cost function flag(fn) describes (None when fine), power steps first."""
+    report: list[str] = []
+    for label, functions, index in (("power", tariff.power_functions, tariff.power_index),
+                                    ("heat", tariff.heat_functions, tariff.heat_index)):
+        notes = [flag(fn) for fn in functions]
+        report += [f"t={t}: {label} cost {notes[fi]}" for t, fi in enumerate(index.tolist()) if notes[fi]]
+    return report
+
+
 def check_convexity(tariff: Tariff) -> list[str]:
     """Report every step whose cost function is not convex.
 
@@ -142,24 +152,15 @@ def check_convexity(tariff: Tariff) -> list[str]:
     slopes in order) decreases anywhere; selling above the purchase rate is
     the common offender.
     """
-    report: list[str] = []
-    for label, functions, index in (
-        ("power", tariff.power_functions, tariff.power_index),
-        ("heat", tariff.heat_functions, tariff.heat_index),
-    ):
-        bad: dict[int, str] = {}
-        for fi, fn in enumerate(functions):
-            seq = fn.slope_sequence()
-            for a, b in zip(seq, seq[1:]):
-                if b < a:
-                    bad[fi] = f"slope drops from {a} to {b}"
-                    break
-        if bad:
-            for t in range(tariff.horizon_steps):
-                fi = int(index[t])
-                if fi in bad:
-                    report.append(f"t={t}: {label} cost is non-convex ({bad[fi]})")
-    return report
+
+    def bend(fn: PiecewiseLinearCost) -> str | None:
+        seq = fn.slope_sequence()
+        for a, b in zip(seq, seq[1:]):
+            if b < a:
+                return f"is non-convex (slope drops from {a} to {b})"
+        return None
+
+    return _flag_steps(tariff, bend)
 
 
 def check_monotone(tariff: Tariff) -> list[str]:
@@ -168,15 +169,12 @@ def check_monotone(tariff: Tariff) -> list[str]:
     The box and mixed solvers take the upper demand corner as the worst
     case; a flagged step can make that corner cheaper than another.
     """
-    report: list[str] = []
-    for label, functions, index in (
-        ("power", tariff.power_functions, tariff.power_index),
-        ("heat", tariff.heat_functions, tariff.heat_index),
-    ):
-        low = [min(fn.slope_sequence()) for fn in functions]
-        report += [f"t={t}: {label} cost falls as demand rises (slope {low[fi]})"
-                   for t, fi in enumerate(index.tolist()) if low[fi] < 0.0]
-    return report
+
+    def fall(fn: PiecewiseLinearCost) -> str | None:
+        low = min(fn.slope_sequence())
+        return f"falls as demand rises (slope {low})" if low < 0.0 else None
+
+    return _flag_steps(tariff, fall)
 
 
 def require_monotone(tariff: Tariff) -> None:

@@ -14,7 +14,9 @@ edge_weight is the scalar twin of scenario_weights, spike_gain of the
 spike gains, and edge_bias_spike of bias_spike_costs. path_cost_oracle and
 path_worstcase_oracle fold them over a path, the twins of
 solvers.path_cost_at and solvers._worstcase_parts, and schedule_rows_oracle
-is the twin of schedule.build_schedule.
+is the twin of schedule.build_schedule. lower_corner and
+check_mixed_tariff restate the set rules the package applies where a set
+is priced, so the oracles do not borrow them.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ from mgtdispatch import (
     PathResult,
     RobustSolution,
     bias_profile,
+    check_convexity,
     shortest_path_dag,
     shortest_path_restricted,
     worst_corner,
 )
-from mgtdispatch.graph import _check_mixed_tariff, _check_tariff, _demand_steps, _lower_corner, _sell_forbidden
+from mgtdispatch.graph import _check_tariff, _demand_steps
 from mgtdispatch.solvers import _infeasible, _worstcase_parts
+from mgtdispatch.tariff import require_monotone
 
 INF = float("inf")
 
@@ -115,6 +119,19 @@ def full_sweep(graph, costs, thresholds):
     return best
 
 
+def lower_corner(uset) -> DemandProfile:
+    """Lowest demand of a box or mixed set: mean minus half-width, clamped at zero; spikes only add."""
+    return DemandProfile(np.maximum(uset.p0 - uset.dp, 0.0), np.maximum(uset.h0 - uset.dh, 0.0))
+
+
+def check_mixed_tariff(tariff) -> None:
+    """Refuse costs that fall as demand rises, then non-convex costs, as mixed-set pricing must."""
+    require_monotone(tariff)
+    bends = check_convexity(tariff)
+    if bends:
+        raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
+
+
 def edge_weight(graph, edge: Edge, demand: DemandProfile, tariff) -> float:
     """Weight of one edge under a fixed demand; +inf when unusable.
 
@@ -163,13 +180,13 @@ def edge_bias_spike(graph, edge: Edge, mset, tariff) -> tuple[float, float]:
     increment any single in-span spike can add on top of it, 0 when no
     enabled spike falls inside the span. An edge that is unusable at the
     bias corner, or that must export at the lower corner on a forbidden-sell
-    step, gives (inf, 0).
+    step, gives (inf, 0). Prices are finite, so only a forbidden export
+    prices the lower corner at +inf.
     """
-    _check_mixed_tariff(tariff)
+    check_mixed_tariff(tariff)
     bias = bias_profile(mset)
     w_bias = edge_weight(graph, edge, bias, tariff)
-    if w_bias == INF or (_sell_forbidden(graph, tariff)
-                         and edge_weight(graph, edge, _lower_corner(mset), tariff) == INF):
+    if w_bias == INF or edge_weight(graph, edge, lower_corner(mset), tariff) == INF:
         return INF, 0.0
     return w_bias, spike_gain(graph, edge, bias, mset, tariff)[0]
 
@@ -199,7 +216,7 @@ def path_worstcase_oracle(graph, path: PathResult, uset, tariff) -> tuple[float,
             gain, step, what = spike_gain(graph, e, bias, uset, tariff)
             if gain > best:
                 best, label = gain, f"{what}-spike@{step}"
-    if _sell_forbidden(graph, tariff) and path_cost_oracle(graph, path, _lower_corner(uset), tariff) == INF:
+    if path_cost_oracle(graph, path, lower_corner(uset), tariff) == INF:
         total = INF
     return float(total), float(best), label
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mgtdispatch import (
+    BoxSet,
     DemandProfile,
     Forecast,
     box_set,
@@ -59,6 +61,14 @@ def test_box_halfwidth():
     assert np.allclose(corner.power_kw, 51.3)
     with pytest.raises(ValueError):
         box_set(fc, -0.1)
+    # a box built directly is checked as well: sequences become arrays, and
+    # widths must be finite, non-negative and as long as the means
+    assert (worst_corner(BoxSet([14.0] * 2, [20.0] * 2, [1.0] * 2, [0.0] * 2)).power_kw == 15.0).all()
+    good = [np.full(2, v) for v in (14.0, 20.0, 2.0, 0.0)]
+    for i, bad, match in ((2, [-4.0, 1.0], "dp must be non-negative"), (3, [0.0, -1.0], "dh must be non-negative"),
+                          (2, [1.0, np.nan], "dp contains non-finite"), (3, [0.0], "differ in length")):
+        with pytest.raises(ValueError, match=match):
+            BoxSet(*good[:i], np.array(bad), *good[i + 1:])
 
 
 def test_mixed_set_weights():
@@ -69,6 +79,20 @@ def test_mixed_set_weights():
     assert math.isclose(m.mu1 / m.delta_p[0], 400.0)  # mu1 / delta = mu1 * sigma
     assert math.isclose(m.mu1 / m.delta_h[1], 160.0)
     assert m.mu1 == 40.0
+    # the box part is checked as for BoxSet, then the budget and its weights
+    for field, bad, match in (("dp", np.array([-0.3, 0.3]), "dp must be non-negative"),
+                              ("mu1", -2.0, "mu1 must be finite and >= 0"), ("mu1", np.nan, "mu1"),
+                              ("delta_p", np.array([0.1, 0.0]), "delta_p must be > 0"),
+                              ("delta_h", np.array([np.nan, 0.25]), "delta_h must be > 0"),
+                              ("delta_p", np.full(3, 0.1), "one entry per step"),
+                              ("spike_heat", np.array([True]), "one entry per step")):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(m, **{field: bad})
+    assert dataclasses.replace(m, delta_h=[np.inf, 0.25], spike_heat=[False, True]).delta_h.dtype == np.float64
+    with pytest.raises(ValueError, match="alpha1"):
+        mixed_set(fc, -1.0, 1.0)
+    with pytest.raises(ValueError, match="mu1"):
+        mixed_set(fc, 1.0, -1.0)
 
 
 def test_sigma_zero_disables_spike():

@@ -149,6 +149,9 @@ def test_demand_length_contract(tiny_graph, tiny_tariff):
         assert (w[4] == INF).all()  # no edge may start on the last layer
     with pytest.raises(ValueError, match="demand"):
         scenario_weights(tiny_graph, DemandProfile([14.0] * 3, [20.0] * 3), tiny_tariff)
+    # a forecast is neither a profile nor a set
+    with pytest.raises(TypeError, match="got Forecast"):
+        scenario_weights(tiny_graph, Forecast([14.0] * 4, [20.0] * 4, [1.0] * 4, [1.0] * 4), tiny_tariff)
 
 
 def test_tariff_shape_contract(tiny_graph):
@@ -361,8 +364,8 @@ def test_bias_spike_frozen_values():
     assert wb == pytest.approx(9.2) and ws == 2.0
 
     costs = bias_spike_costs(g, mset, tariff)
-    assert costs.bias_of(Edge(0, 0)) == 5.0
-    assert costs.spike_of(Edge(0, 0)) == 2.0
+    assert costs.w_bias[0, 0] == 5.0
+    assert costs.w_spike[0, 0] == 2.0
 
 
 def test_zero_budget_means_zero_spikes(tiny_graph, tiny_tariff):
@@ -376,12 +379,12 @@ def test_dead_edges_keep_zero_spike_and_drop_from_sweep(tiny_graph, tiny_tariff)
     # though the +4 spike alone would lift it back over the output level
     fc = Forecast([5.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
     costs = bias_spike_costs(tiny_graph, mixed_set(fc, 1.0, 2.0), tiny_tariff)
-    assert costs.bias_of(Edge(0, 0)) == INF
-    assert costs.spike_of(Edge(0, 0)) == 0.0
+    assert costs.w_bias[0, 0] == INF
+    assert costs.w_spike[0, 0] == 0.0
     finite = costs.finite_spike_values()
     assert finite.size > 0
     assert np.isfinite(finite).all()
-    n_dead = sum(1 for e in tiny_graph.edges() if not np.isfinite(costs.bias_of(e)))
+    n_dead = sum(1 for e in tiny_graph.edges() if not np.isfinite(costs.w_bias[e.time, e.template]))
     assert n_dead == 4  # on-keep at each of the 4 slots
     assert finite.size == 24 - n_dead
 
@@ -395,20 +398,20 @@ def test_mixed_costs_reject_nonconvex_tariff(tiny_graph):
     mset = mixed_set(fc, 1.0, 2.0)
     # the message names the first step whose slopes drop
     first = r"4 step\(s\) are not, first t=0: power cost is non-convex \(slope drops from 1.0 to 0.2\)"
-    with pytest.raises(ValueError, match=first):
-        bias_spike_costs(tiny_graph, mset, tariff)
-    with pytest.raises(ValueError, match=first):
-        edge_bias_spike(tiny_graph, Edge(0, 0), mset, tariff)
+    for price in (bias_spike_costs, scenario_weights, lambda *a: edge_bias_spike(a[0], Edge(0, 0), *a[1:])):
+        with pytest.raises(ValueError, match=first):
+            price(tiny_graph, mset, tariff)
+    # the box reduction needs only costs that never fall
+    assert np.isfinite(scenario_weights(tiny_graph, box_set(fc, 1.0), tariff)).any()
 
 
-def test_dump_graph_row_count(tiny_graph, tiny_tariff, tmp_path):
-    fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
-    costs = bias_spike_costs(tiny_graph, mixed_set(fc, 1.0, 2.0), tiny_tariff)
+def test_dump_graph_row_count(tiny_graph, tmp_path):
     out = tmp_path / "g.txt"
-    dump_graph(tiny_graph, str(out), costs)
+    dump_graph(tiny_graph, str(out))
     lines = [ln for ln in out.read_text().splitlines() if ln]
-    assert lines[0].startswith("tail_t")
+    assert lines[0] == "tail_t,tail_state,head_t,head_state,control"
     assert len(lines) == tiny_graph.n_edges + 1
+    assert all(len(ln.split(",")) == 5 for ln in lines)
 
 
 def test_spike_sizes_scale_with_sigma():

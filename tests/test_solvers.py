@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mgtdispatch import (
+    BoxSet,
     DemandProfile,
     Forecast,
     PiecewiseLinearCost,
@@ -294,7 +295,11 @@ def test_robust_solvers_refuse_falling_costs(smoke):
     # a negative buy or sell slope moves the worst case off the upper
     # corner, so the corner reductions would report a wrong worst case
     g, _, fc = smoke
-    for tariff in (flat_tariff(4, 15.0, -5.0, None, 0.1), flat_tariff(4, 15.0, 0.5, -0.2, 0.1)):
+    # the third tariff also bends; the fall is checked first, so it is named
+    steps = np.zeros(4, dtype=np.int32)
+    falls_and_bends = Tariff(15.0, 4, (PiecewiseLinearCost(None, (0.0, 10.0), (1.0, -0.5)),), steps,
+                             (PiecewiseLinearCost(0.0, (0.0,), (0.1,)),), steps)
+    for tariff in (flat_tariff(4, 15.0, -5.0, None, 0.1), flat_tariff(4, 15.0, 0.5, -0.2, 0.1), falls_and_bends):
         assert solve_nominal(g, fc.mean_profile(), tariff).feasible
         with pytest.raises(ValueError, match="never fall"):
             solve_box(g, box_set(fc, 1.0), tariff)
@@ -318,6 +323,13 @@ def test_box_worst_case_refuses_falling_costs(smoke):
     assert nom.feasible
     with pytest.raises(ValueError, match="never fall"):
         path_worstcase_cost(g, nom.path, box_set(fc, 3.0), tariff)
+    # a negative width swaps the corners the same way (solve_box would price
+    # the all-on plan at 10 kW, 8.0, while it costs 24.0 at 18 kW), and a
+    # negative spike budget lowers the worst case, so both sets refuse them
+    with pytest.raises(ValueError, match="dp must be non-negative"):
+        BoxSet(*(np.full(4, v) for v in (14.0, 20.0, -4.0, 0.0)))
+    with pytest.raises(ValueError, match="mu1"):
+        dataclasses.replace(mixed_set(fc, 0.5, 2.0), mu1=-2.0)
 
 
 def test_enumerate_paths_counts_and_limit(tiny_graph):

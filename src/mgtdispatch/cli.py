@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -103,6 +104,24 @@ def _widths(args, fallback: dict) -> dict:
             for k, v in DEFAULT_WIDTHS.items()}
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float (an infeasible cost) replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _write_json(obj, path: str) -> None:
+    """Write a report as strict JSON: infinities and NaN become null."""
+    with open(path, "w") as fh:
+        json.dump(_finite_or_null(obj), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def _cmd_solve(args) -> int:
     model = load_model(args.model)
     tariff = load_tariff(args.tariff)
@@ -150,7 +169,7 @@ def _cmd_solve(args) -> int:
     report = {
         "algorithm": solution.algorithm,
         "feasible": solution.feasible,
-        "worst_case_cost": solution.worst_case_cost if solution.feasible else None,
+        "worst_case_cost": solution.worst_case_cost,
         "worst_scenario": solution.worst_scenario,
         "threshold": solution.threshold,
         "thresholds_evaluated": solution.thresholds_evaluated,
@@ -166,9 +185,7 @@ def _cmd_solve(args) -> int:
         "final_states": graph.final_states(),
     }
     if args.out_report:
-        with open(args.out_report, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report, args.out_report)
 
     if not solution.feasible:
         print(f"algorithm={solution.algorithm} infeasible: no admissible path "
@@ -214,9 +231,7 @@ def _cmd_compare(args) -> int:
     report = ComparisonReport(cases=tuple(cases))
     sys.stdout.write(report.render_table())
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(report.to_dict(), args.out)
     if any(not case.entry("benchmark").feasible for case in cases):
         return 2
     return 0
@@ -241,9 +256,7 @@ def _cmd_bench(args) -> int:
     )
     sys.stdout.write(render_scaling_table(rows))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        _write_json(rows, args.out)
     return 0
 
 

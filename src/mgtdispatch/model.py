@@ -165,6 +165,8 @@ def synth_c65_like(n_speeds: int = 30, n_valves: int = 50, config: SynthConfig |
     step_seconds = (config or SynthConfig()).step_seconds
     if n_speeds < 1 or n_valves < 1:
         raise ValueError("need at least one speed and one valve level")
+    if not 0.0 < step_seconds < math.inf:
+        raise ValueError(f"step_seconds must be a positive finite number, got {step_seconds!r}")
 
     p_lo, p_hi = POWER_RANGE_KW
     h_lo, h_hi = HEAT_RANGE_KW

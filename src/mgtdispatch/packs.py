@@ -116,8 +116,13 @@ def load_pack_manifest(pack_dir: str) -> dict:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read pack manifest {path}: {exc}") from exc
-    if manifest.get("format") != "dispatch-pack-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "dispatch-pack-v1":
         raise ValueError(f"{path} is not a dispatch pack manifest")
+    if not isinstance(manifest.get("model"), str):
+        raise ValueError(f"{path}: 'model' must be a file name string")
+    seasons = manifest.get("seasons")
+    if not (isinstance(seasons, list) and seasons and all(isinstance(s, str) for s in seasons)):
+        raise ValueError(f"{path}: 'seasons' must be a non-empty list of season names")
     return manifest
 
 

@@ -1,32 +1,31 @@
-"""Shortest-path kernels on the time-expanded dispatch graph.
+"""Shortest-path kernel on the time-expanded dispatch graph.
 
 The plain problem is the spike-restricted one with zero spikes and no
-budget, and both kernels share its two halves: one backward layer
-relaxation (_relax) and one forward walk (_walk). Edge costs are
-(horizon, templates) arrays in template order. Each layer gathers its row
-into the graph's tail_slots matrix (a column per state, +inf in pad slots)
-and takes one min down the columns. Value arrays carry max-duration +inf
-rows past the horizon, so head indices need no clamp. Template k has no
-edge at layer t when t + dur[k] > horizon - 1; the relaxation reads that
-slot as +inf whatever the weight array holds. The walk starts at the
-initial state with the smallest (value, max spike, index) and scans the
-state's slot column, which lists its templates by (duration, head,
-template). It steps to the first successor whose candidate value
-reproduces the stored optimum exactly without exceeding the start's max
-spike; a head past the horizon reads +inf and never matches. So the
-returned path is the lexicographically smallest node sequence among the
-optimal ones and its right-fold cost equals the DP value bit for bit.
+budget, so one kernel (_solve) serves both: a backward DP, then a forward
+walk (_walk). Edge costs are (horizon, templates) arrays in template
+order. Each layer gathers its row into the graph's tail_slots matrix (a
+column per state, +inf in pad slots) and takes one min down the columns.
+Value arrays carry max-duration +inf rows past the horizon, so head
+indices need no clamp. Template k has no edge at layer t when
+t + dur[k] > horizon - 1; the relaxation reads that slot as +inf whatever
+the weight array holds. The walk starts at the initial state with the
+smallest (value, max spike, index) and scans the state's slot column,
+which lists its templates by (duration, head, template). It steps to the
+first successor whose candidate value reproduces the stored optimum
+exactly without exceeding the start's max spike; a head past the horizon
+reads +inf and never matches. So the returned path is the
+lexicographically smallest node sequence among the optimal ones and its
+right-fold cost equals the DP value bit for bit.
 
-The restricted kernel drops every edge whose spike cost exceeds a budget
-alpha and optimizes the pair (sum of bias costs, max spike along the path)
-lexicographically; it is the inner solve of the threshold sweep in
-solvers.py. The plain kernel keeps a cost-only backward loop and walks with
-zero spikes.
+Given spikes (the threshold sweep in solvers.py), the kernel drops every
+edge whose spike exceeds a budget alpha and minimizes (sum of bias costs,
+max spike along the path) lexicographically, with a second pass per layer
+for the max spike. Without spikes the mask and that pass are skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,27 +48,10 @@ class PathResult:
     edges: tuple[Edge, ...] = ()
     nodes: tuple[tuple[int, str], ...] = ()
     total: float = INF
-    aux_max: float = field(default=0.0)
+    aux_max: float = 0.0
 
 
 _INFEASIBLE = PathResult(False, (), (), INF, INF)
-
-
-def _relax(graph: DispatchGraph, wrow: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
-    """Set b[t] to each state's min over its templates of wrow + b[head].
-
-    Templates with no edge at layer t read +inf. Returns the candidates as
-    a tail_slots matrix, +inf in pad slots.
-    """
-    s = graph.n_states
-    last = graph.horizon - 1
-    if t + graph.duration_groups[-1][0] > last:
-        wrow = np.where(graph.dur > last - t, INF, wrow)
-    tmpl, heads = graph.tail_slots
-    cand = np.append(wrow, INF)[tmpl]
-    cand += b.reshape(-1)[t * s:][heads]
-    b[t] = cand.min(axis=0)
-    return cand
 
 
 def _walk(graph: DispatchGraph, b: np.ndarray, b_aux: np.ndarray, w: np.ndarray,
@@ -103,20 +85,41 @@ def _walk(graph: DispatchGraph, b: np.ndarray, b_aux: np.ndarray, w: np.ndarray,
     return PathResult(True, tuple(edges), tuple(nodes), float(total), float(target_aux))
 
 
+def _solve(graph: DispatchGraph, w: np.ndarray, spike: np.ndarray | None, alpha: float) -> PathResult:
+    """Backward DP, then _walk; spikes switch on the budget mask and the max-spike pass."""
+    restricted = spike is not None
+    for a in (w, spike) if restricted else (w,):
+        if a.shape != (graph.horizon, graph.n_templates):
+            raise ValueError(f"edge cost shape {a.shape} does not match ({graph.horizon}, {graph.n_templates})")
+    last = graph.horizon - 1
+    s = graph.n_states
+    tmpl, heads = graph.tail_slots
+    b = np.full((graph.horizon + graph.duration_groups[-1][0], s), INF)
+    b[last, graph.final_mask] = 0.0
+    # without spikes the walk reads zeros, as read-only views that allocate nothing
+    b_aux = b.copy() if restricted else np.broadcast_to(0.0, b.shape)
+    spike = spike if restricted else np.broadcast_to(0.0, w.shape)
+    b_flat, ba_flat = b.reshape(-1), b_aux.reshape(-1)
+    for t in range(last - 1, -1, -1):
+        wrow = np.where(spike[t] > alpha, INF, w[t]) if restricted else w[t]
+        if t + graph.duration_groups[-1][0] > last:
+            wrow = np.where(graph.dur > last - t, INF, wrow)
+        cand = np.append(wrow, INF)[tmpl]
+        cand += b_flat[t * s:][heads]
+        b[t] = cand.min(axis=0)
+        if restricted:
+            aux = np.append(spike[t], INF)[tmpl]
+            np.maximum(aux, ba_flat[t * s:][heads], out=aux)
+            aux[cand != b[t]] = INF
+            b_aux[t] = aux.min(axis=0)
+    # held through the walk, the last layer's candidates raised peak RSS by 16 MB (bench plant, T = 1440)
+    cand = aux = None
+    return _walk(graph, b, b_aux, w, spike, alpha)
+
+
 def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
     """Min-cost s->q path for a (horizon, templates) weight array."""
-    if weights.shape != (graph.horizon, graph.n_templates):
-        raise ValueError(
-            f"weights shape {weights.shape} does not match "
-            f"({graph.horizon}, {graph.n_templates})"
-        )
-    last = graph.horizon - 1
-    b = np.full((graph.horizon + graph.duration_groups[-1][0], graph.n_states), INF)
-    b[last, graph.final_mask] = 0.0
-    for t in range(last - 1, -1, -1):
-        _relax(graph, weights[t], b, t)
-    # zero spikes and no budget, as read-only views that allocate nothing
-    return _walk(graph, b, np.broadcast_to(0.0, b.shape), weights, np.broadcast_to(0.0, weights.shape), INF)
+    return _solve(graph, weights, None, INF)
 
 
 def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: float) -> PathResult:
@@ -128,23 +131,4 @@ def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: floa
     alpha = float(alpha)
     if not alpha >= 0.0:
         raise ValueError(f"spike budget alpha must be >= 0, got {alpha!r}")
-    wb, ws = costs.w_bias, costs.w_spike
-    if wb.shape != (graph.horizon, graph.n_templates):
-        raise ValueError("edge costs do not match this graph")
-    last = graph.horizon - 1
-    s = graph.n_states
-    tmpl, heads = graph.tail_slots
-
-    shape = (graph.horizon + graph.duration_groups[-1][0], s)
-    b_cost, b_aux = np.full(shape, INF), np.full(shape, INF)
-    b_cost[last, graph.final_mask] = 0.0
-    b_aux[last, graph.final_mask] = 0.0
-    ba_flat = b_aux.reshape(-1)
-    for t in range(last - 1, -1, -1):
-        cand = _relax(graph, np.where(ws[t] > alpha, INF, wb[t]), b_cost, t)
-        # second pass: min max-spike among cost-optimal continuations
-        aux = np.append(ws[t], INF)[tmpl]
-        np.maximum(aux, ba_flat[t * s:][heads], out=aux)
-        aux[cand != b_cost[t]] = INF
-        b_aux[t] = aux.min(axis=0)
-    return _walk(graph, b_cost, b_aux, wb, ws, alpha)
+    return _solve(graph, costs.w_bias, costs.w_spike, alpha)

@@ -103,8 +103,14 @@ class Tariff:
     heat_index: np.ndarray
 
     def __post_init__(self):
-        if len(self.power_index) != self.horizon_steps or len(self.heat_index) != self.horizon_steps:
-            raise ValueError("per-step function index length must equal horizon_steps")
+        for label, functions, index in (("power", self.power_functions, self.power_index),
+                                        ("heat", self.heat_functions, self.heat_index)):
+            index = np.asarray(index)
+            if index.shape != (self.horizon_steps,):
+                raise ValueError(f"{label} function index must have horizon_steps = {self.horizon_steps} entries")
+            if index.dtype.kind not in "iu" or (index.size and not 0 <= index.min() <= index.max() < len(functions)):
+                raise ValueError(f"{label} function index must hold integers in [0, {len(functions)})")
+            object.__setattr__(self, f"{label}_index", index)
 
     def power_fn(self, t: int) -> PiecewiseLinearCost:
         return self.power_functions[self.power_index[t]]

@@ -150,6 +150,21 @@ def test_model_names_must_be_strings(small_pack, tmp_path, capsys, edit):
         assert "must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("model"),
+    lambda d: d.update(model=None),
+    lambda d: d.pop("seasons"),
+    lambda d: d.update(seasons="winter"),
+    lambda d: d.update(seasons=[]),
+], ids=["model-dropped", "model-null", "seasons-dropped", "seasons-string", "seasons-empty"])
+def test_pack_manifest_is_checked_when_read(small_pack, tmp_path, capsys, edit):
+    pack = tmp_path / "pack"
+    shutil.copytree(small_pack, pack)
+    _edit_json(pack / "pack.json", edit)
+    assert main(["compare", "--pack", str(pack), "--mixed", "none"]) == 1
+    assert "pack.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "compare"])
 @pytest.mark.parametrize("mode, flags", [("add", []), ("add", ["--eps", "0.5", "--grid-n", "4"]), ("mul", [])])
 def test_missing_grid_parameter_exits_1(small_pack, capsys, command, mode, flags):
@@ -189,6 +204,12 @@ def test_huge_additive_grid_exits_1(small_pack, capsys, command, grid):
         argv = ["compare", "--pack", str(small_pack), "--season", "winter", *grid]
     assert main(argv) == 1
     assert "budget rungs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-15", "nan", "inf"])
+def test_bench_refuses_bad_step(capsys, step):
+    assert main(["bench", "--horizons", "6", "--n-speeds", "2", "--n-valves", "2", "--step-seconds", step]) == 1
+    assert "error: step_seconds" in capsys.readouterr().err
 
 
 def test_entry_point_exit_status(tmp_path):

@@ -98,6 +98,12 @@ def test_synth_fuel_pricing():
     assert math.isclose(keep.op_cost, expected)
 
 
+@pytest.mark.parametrize("step", [0.0, -15.0, math.nan, math.inf])
+def test_synth_refuses_bad_step(step):
+    with pytest.raises(ValueError, match="step_seconds"):
+        synth_c65_like(3, 2, SynthConfig(step_seconds=step))
+
+
 def test_synth_moves():
     m = synth_c65_like(3, 2)
     up = [tr for tr in m.transitions if tr.from_state == "s00v00" and tr.control == "speed+1"][0]

@@ -208,6 +208,34 @@ def test_cli_solve_infeasible_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_cli_infeasible_reports_are_strict_json(tmp_path, capsys):
+    # x_on cannot reach x_off3+ in two steps, so every cost is +inf; both
+    # reports write it as null, and a strict parser reads them
+    rng = np.random.default_rng(79)
+    save_model(cooldown_example(step_seconds=900.0), str(tmp_path / "model.json"))
+    save_tariff(flat_tariff(2, 900.0, 0.5, 0.1, 0.1), str(tmp_path / "tariff.json"))
+    (tmp_path / "hist").mkdir()
+    days = _history(rng, 3, 2)
+    for i, d in enumerate(days):
+        save_demand(d, str(tmp_path / "hist" / f"day{i}.csv"))
+    save_demand(days[0], str(tmp_path / "realized.csv"))
+    files = ["--model", str(tmp_path / "model.json"), "--tariff", str(tmp_path / "tariff.json"),
+             "--history", str(tmp_path / "hist"), "--initial-state", "x_on", "--final-state", "x_off3+"]
+
+    def strict(name):
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+        return json.loads((tmp_path / name).read_text(), parse_constant=refuse)
+
+    assert main(["compare", *files, "--realized", str(tmp_path / "realized.csv"),
+                 "--out", str(tmp_path / "cmp.json")]) == 2
+    algos = strict("cmp.json")["cases"][0]["algorithms"]
+    assert [(a["worst_case_cost"], a["realized_cost"]) for a in algos] == [(None, None)] * 4
+    assert " inf " in capsys.readouterr().out
+    assert main(["solve", *files, "--algo", "box", "--out-report", str(tmp_path / "solve.json")]) == 2
+    assert strict("solve.json")["worst_case_cost"] is None
+
+
 def test_cli_validate(tmp_path, capsys):
     _write_problem(tmp_path)
     rc = main(["validate", "--model", str(tmp_path / "model.json"),

@@ -221,6 +221,12 @@ def test_weight_shape_is_checked(tiny_graph):
     # (templates, horizon) is the transposed layout
     with pytest.raises(ValueError, match="shape"):
         shortest_path_dag(tiny_graph, np.zeros((6, 5)))
+    with pytest.raises(ValueError, match="shape"):
+        shortest_path_restricted(tiny_graph, EdgeCosts(np.zeros((6, 5)), np.zeros((6, 5))), 1.0)
+    # a spike array must match the weights, not just broadcast against them
+    for shape in ((6, 6), (5, 6, 1), (5, 7)):
+        with pytest.raises(ValueError, match="shape"):
+            shortest_path_restricted(tiny_graph, EdgeCosts(np.zeros((5, 6)), np.zeros(shape)), 1.0)
 
 
 def test_kernels_ignore_weights_of_absent_edges():

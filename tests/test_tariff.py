@@ -169,6 +169,21 @@ def test_convexity_check_and_report():
     assert check_convexity(sell_high)
 
 
+@pytest.mark.parametrize("bad", [[0, 0, -1, 0], [0, 5, 0, 0], [0.0, 0.5, 0.0, 0.0], [0, 0, 0]])
+def test_tariff_refuses_bad_function_index(bad):
+    # -1 would price step 2 with the last function; 5 and 0.5 would fail only when priced
+    two = (PiecewiseLinearCost(None, (0.0,), (0.1,)), PiecewiseLinearCost(None, (0.0,), (0.2,)))
+    heat = (PiecewiseLinearCost(0.0),)
+    good = np.zeros(4, dtype=np.int32)
+    # a list is kept as an array, so every per-step reader can index it
+    listed = Tariff(15.0, 4, two, [0, 1, 1, 0], heat, good)
+    assert check_convexity(listed) == [] and listed.power_index.tolist() == [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="power function index"):
+        Tariff(15.0, 4, two, np.array(bad), heat, good)
+    with pytest.raises(ValueError, match="heat function index"):
+        Tariff(15.0, 4, two, good, heat, np.array(bad))
+
+
 def test_tariff_roundtrip(tmp_path):
     cfg = TouConfig(step_seconds=900.0, horizon_steps=96, buy_peak_per_kwh=0.3,
                     buy_offpeak_per_kwh=0.12, sell_per_kwh=0.05, heat_buy_per_kwh=0.0725)

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 from .bench import render_scaling_table, run_scaling
 from .demand import (
@@ -31,7 +32,7 @@ from .demand import (
 )
 from .graph import build_graph
 from .model import load_model, validate_model
-from .packs import load_pack_manifest
+from .packs import _repeats, load_pack_manifest
 from .schedule import DEFAULT_WIDTHS, ComparisonReport, build_schedule, compare_day, save_schedule
 from .solvers import _solve_mixed, solve_box, solve_nominal
 from .tariff import check_convexity, check_monotone, load_tariff
@@ -126,38 +127,28 @@ def _cmd_solve(args) -> int:
     model = load_model(args.model)
     tariff = load_tariff(args.tariff)
 
-    needs_history = args.algo != "nominal"
-    if needs_history and not args.history:
-        print(f"--history is required for --algo {args.algo}", file=sys.stderr)
-        return 1
-    if not needs_history and not args.demand:
-        print("--demand is required for --algo nominal", file=sys.stderr)
+    source = "demand" if args.algo == "nominal" else "history"
+    if not getattr(args, source):
+        print(f"--{source} is required for --algo {args.algo}", file=sys.stderr)
         return 1
 
     t0 = time.perf_counter()
     if args.algo == "nominal":
-        demand = load_demand(args.demand)
-        eval_profile, profile_name = demand, "nominal"
-        n_steps = demand.n_steps
+        uset = load_demand(args.demand)
+        eval_profile, profile_name, solve = uset, "nominal", solve_nominal
     else:
         forecast = forecast_from_history(load_history(args.history))
-        n_steps = len(forecast.mu_power)
         widths = _widths(args, {})
         if args.algo == "box":
             uset = box_set(forecast, widths["alpha"])
-            eval_profile, profile_name = worst_corner(uset), "box-corner"
+            eval_profile, profile_name, solve = worst_corner(uset), "box-corner", solve_box
         else:
             uset = mixed_set(forecast, widths["alpha1"], widths["alpha2"])
             eval_profile, profile_name = bias_profile(uset), "bias"
-
-    graph = build_graph(model, n_steps + 1, initial=args.initial_state, final=args.final_state)
-    if args.algo == "nominal":
-        solution = solve_nominal(graph, demand, tariff)
-    elif args.algo == "box":
-        solution = solve_box(graph, uset, tariff)
-    else:
-        solution = _solve_mixed(graph, uset, tariff, MIXED_MODES[args.algo.removeprefix("mixed-")],
-                                epsilon=args.eps, grid_n=args.grid_n, mu=args.mu)
+            solve = partial(_solve_mixed, mode=MIXED_MODES[args.algo.removeprefix("mixed-")],
+                            epsilon=args.eps, grid_n=args.grid_n, mu=args.mu)
+    graph = build_graph(model, uset.n_steps + 1, initial=args.initial_state, final=args.final_state)
+    solution = solve(graph, uset, tariff)
     runtime = time.perf_counter() - t0
 
     schedule = None
@@ -168,12 +159,7 @@ def _cmd_solve(args) -> int:
 
     report = {
         "algorithm": solution.algorithm,
-        "feasible": solution.feasible,
-        "worst_case_cost": solution.worst_case_cost,
-        "worst_scenario": solution.worst_scenario,
-        "threshold": solution.threshold,
-        "thresholds_evaluated": solution.thresholds_evaluated,
-        "thresholds_candidates": solution.thresholds_candidates,
+        **solution.report_fields(),
         "schedule_cost": schedule.total_cost if schedule else None,
         "evaluation_profile": profile_name,
         "runtime_s": runtime,
@@ -207,6 +193,8 @@ def _cmd_compare(args) -> int:
         unknown = set(seasons) - set(manifest["seasons"])
         if unknown:
             raise ValueError(f"pack has no season(s): {', '.join(sorted(unknown))}")
+        if repeated := _repeats(seasons):
+            raise ValueError(f"--season gives {repeated} more than once")
         widths = _widths(args, manifest)
         for season in seasons:
             sdir = os.path.join(args.pack, season)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -110,6 +111,7 @@ def build_four_season_pack(
 
 
 def load_pack_manifest(pack_dir: str) -> dict:
+    """Read pack_dir/pack.json, refusing a manifest that compare cannot replay."""
     path = os.path.join(pack_dir, "pack.json")
     try:
         with open(path) as fh:
@@ -123,12 +125,22 @@ def load_pack_manifest(pack_dir: str) -> dict:
     seasons = manifest.get("seasons")
     if not (isinstance(seasons, list) and seasons and all(isinstance(s, str) for s in seasons)):
         raise ValueError(f"{path}: 'seasons' must be a non-empty list of season names")
+    if repeated := _repeats(seasons):
+        raise ValueError(f"{path}: 'seasons' lists {repeated} more than once")
+    for key in ("alpha", "alpha1", "alpha2"):
+        width = manifest.get(key, 0.0)
+        # JSON true is an int to Python, and an integer literal can exceed every float
+        if isinstance(width, bool) or not (isinstance(width, (int, float)) and 0 <= width <= sys.float_info.max):
+            raise ValueError(f"{path}: {key!r} must be a finite number >= 0, got {width!r}")
     return manifest
 
 
-if __name__ == "__main__":
-    import sys
+def _repeats(names: list[str]) -> str:
+    """The names listed more than once, sorted and comma-separated; empty when none is."""
+    return ", ".join(sorted({n for n in names if names.count(n) > 1}))
 
+
+if __name__ == "__main__":
     target = sys.argv[1] if len(sys.argv) > 1 else "data/four_season"
     m = build_four_season_pack(target)
     print(f"wrote pack with seasons {', '.join(m['seasons'])} to {target}")

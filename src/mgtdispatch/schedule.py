@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .demand import DemandProfile, box_set, forecast_from_history, mixed_set
 from .graph import DispatchGraph, _path_steps, build_graph
@@ -160,18 +161,8 @@ class ComparisonReport:
                 {
                     "name": case.name,
                     "algorithms": [
-                        {
-                            "name": e.name,
-                            "feasible": e.feasible,
-                            "worst_case_cost": e.solution.worst_case_cost,
-                            "worst_scenario": e.solution.worst_scenario,
-                            "threshold": e.solution.threshold,
-                            "thresholds_evaluated": e.solution.thresholds_evaluated,
-                            "thresholds_candidates": e.solution.thresholds_candidates,
-                            "realized_cost": e.realized_cost,
-                            "reduction_pct": e.reduction_pct,
-                            "runtime_s": e.runtime_s,
-                        }
+                        {"name": e.name, **e.solution.report_fields(), "realized_cost": e.realized_cost,
+                         "reduction_pct": e.reduction_pct, "runtime_s": e.runtime_s}
                         for e in case.entries
                     ],
                 }
@@ -179,22 +170,6 @@ class ComparisonReport:
             ],
             "mean_reduction_pct": self.mean_reduction(),
         }
-
-
-def _with_reductions(entries: list[AlgoResult]) -> tuple[AlgoResult, ...]:
-    by_name = {e.name: e for e in entries}
-    nominal = by_name.get("nominal")
-    benchmark = by_name.get("benchmark")
-    if nominal is None or benchmark is None:
-        return tuple(entries)
-    margin = nominal.realized_cost - benchmark.realized_cost
-    out = []
-    for e in entries:
-        red = None
-        if margin > 0 and e.realized_cost != INF and nominal.realized_cost != INF:
-            red = 100.0 * (nominal.realized_cost - e.realized_cost) / margin
-        out.append(AlgoResult(e.name, e.solution, e.realized_cost, e.runtime_s, red))
-    return tuple(out)
 
 
 def compare_day(
@@ -222,26 +197,21 @@ def compare_day(
     """
     forecast = forecast_from_history(history)
     graph = build_graph(model, realized.n_steps + 1, initial=initial, final=final)
-
-    def timed(fn, *args, **kw):
-        t0 = time.perf_counter()
-        sol = fn(*args, **kw)
-        return sol, time.perf_counter() - t0
-
-    entries: list[AlgoResult] = []
-
-    sol, dt = timed(solve_nominal, graph, realized, tariff)
-    entries.append(AlgoResult("benchmark", sol, path_cost_at(graph, sol.path, realized, tariff), dt))
-
-    sol, dt = timed(solve_nominal, graph, forecast.mean_profile(), tariff)
-    entries.append(AlgoResult("nominal", sol, path_cost_at(graph, sol.path, realized, tariff), dt))
-
-    sol, dt = timed(solve_box, graph, box_set(forecast, alpha), tariff)
-    entries.append(AlgoResult("box", sol, path_cost_at(graph, sol.path, realized, tariff), dt))
-
+    # (label, solver, demand or set to solve against); sets are built here so the timers cover solves only
+    plans = [("benchmark", solve_nominal, realized), ("nominal", solve_nominal, forecast.mean_profile()),
+             ("box", solve_box, box_set(forecast, alpha))]
     if mixed is not None:
-        mset = mixed_set(forecast, alpha1, alpha2)
-        sol, dt = timed(_solve_mixed, graph, mset, tariff, mixed, epsilon=epsilon, grid_n=grid_n, mu=mu)
-        entries.append(AlgoResult("mixed", sol, path_cost_at(graph, sol.path, realized, tariff), dt))
-
-    return CaseComparison(name=name, entries=_with_reductions(entries))
+        plans.append(("mixed", partial(_solve_mixed, mode=mixed, epsilon=epsilon, grid_n=grid_n, mu=mu),
+                      mixed_set(forecast, alpha1, alpha2)))
+    scored = []  # (label, solution, realized cost, runtime)
+    for label, solve, demand in plans:
+        t0 = time.perf_counter()
+        sol = solve(graph, demand, tariff)
+        runtime = time.perf_counter() - t0
+        scored.append((label, sol, path_cost_at(graph, sol.path, realized, tariff), runtime))
+    benchmark, nominal = scored[0][2], scored[1][2]
+    margin = nominal - benchmark
+    return CaseComparison(name=name, entries=tuple(
+        AlgoResult(label, sol, cost, runtime,
+                   100.0 * (nominal - cost) / margin if margin > 0 and cost != INF and nominal != INF else None)
+        for label, sol, cost, runtime in scored))

@@ -76,6 +76,13 @@ class RobustSolution:
     def feasible(self) -> bool:
         return self.path.feasible
 
+    def report_fields(self) -> dict:
+        """The fields a solve report and a comparison entry share, in report order."""
+        return {"feasible": self.feasible, "worst_case_cost": self.worst_case_cost,
+                "worst_scenario": self.worst_scenario, "threshold": self.threshold,
+                "thresholds_evaluated": self.thresholds_evaluated,
+                "thresholds_candidates": self.thresholds_candidates}
+
 
 def _infeasible(algorithm: str) -> RobustSolution:
     return RobustSolution(algorithm, PathResult(False), INF, "infeasible")

@@ -131,12 +131,17 @@ class Tariff:
         return _eval_block(x, self.heat_functions, self.heat_index, t0)
 
 
+def _runs(idx: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) of each run of equal entries in a function index, in order."""
+    starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()
+    return list(zip(starts, starts[1:] + [len(idx)]))
+
+
 def _eval_block(x: np.ndarray, functions, index: np.ndarray, t0: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     idx = index[t0:t0 + x.shape[-1]]
-    starts = np.flatnonzero(np.diff(idx, prepend=-1))
     out = np.empty_like(x)
-    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(idx)]):
+    for a, b in _runs(idx):
         out[..., a:b] = functions[idx[a]].value_array(x[..., a:b])
     return out
 
@@ -254,23 +259,19 @@ def flat_tariff(
 def tariff_to_dict(tariff: Tariff) -> dict:
     """Serialize to the range-list file form; single-rate steps only."""
     ranges = []
-    start = 0
-    idx = tariff.power_index
-    for t in range(1, tariff.horizon_steps + 1):
-        if t == tariff.horizon_steps or idx[t] != idx[start]:
-            fn = tariff.power_functions[idx[start]]
-            if len(fn.slopes) != 1:
-                raise ValueError("tariff files carry single-rate ranges only")
-            per_kwh = 3600.0 / tariff.step_seconds
-            ranges.append(
-                {
-                    "from_step": start,
-                    "to_step": t,
-                    "buy_per_kwh": fn.slopes[0] * per_kwh,
-                    "sell_per_kwh": "forbidden" if fn.neg_slope is None else fn.neg_slope * per_kwh,
-                }
-            )
-            start = t
+    per_kwh = 3600.0 / tariff.step_seconds
+    for start, stop in _runs(tariff.power_index):
+        fn = tariff.power_functions[tariff.power_index[start]]
+        if len(fn.slopes) != 1:
+            raise ValueError("tariff files carry single-rate ranges only")
+        ranges.append(
+            {
+                "from_step": start,
+                "to_step": stop,
+                "buy_per_kwh": fn.slopes[0] * per_kwh,
+                "sell_per_kwh": "forbidden" if fn.neg_slope is None else fn.neg_slope * per_kwh,
+            }
+        )
     hf = tariff.heat_functions[int(tariff.heat_index[0])]
     if len(tariff.heat_functions) != 1 or len(hf.slopes) != 1:
         raise ValueError("tariff files carry a single flat heat rate only")

@@ -156,13 +156,35 @@ def test_model_names_must_be_strings(small_pack, tmp_path, capsys, edit):
     lambda d: d.pop("seasons"),
     lambda d: d.update(seasons="winter"),
     lambda d: d.update(seasons=[]),
-], ids=["model-dropped", "model-null", "seasons-dropped", "seasons-string", "seasons-empty"])
+    lambda d: d.update(seasons=["winter", "spring", "winter"]),
+    lambda d: d.update(alpha="x"),
+    lambda d: d.update(alpha=None),
+    lambda d: d.update(alpha=[1]),
+    lambda d: d.update(alpha=-1),
+    lambda d: d.update(alpha=True),
+    lambda d: d.update(alpha=float("nan")),
+    lambda d: d.update(alpha1=float("inf")),
+    lambda d: d.update(alpha1="0.5"),
+    lambda d: d.update(alpha2=-2.0),
+    lambda d: d.update(alpha2=False),
+    lambda d: d.update(alpha2=10 ** 400),
+], ids=["model-dropped", "model-null", "seasons-dropped", "seasons-string", "seasons-empty", "seasons-repeated",
+        "alpha-string", "alpha-null", "alpha-list", "alpha-negative", "alpha-bool", "alpha-nan", "alpha1-inf",
+        "alpha1-string", "alpha2-negative", "alpha2-bool", "alpha2-huge"])
 def test_pack_manifest_is_checked_when_read(small_pack, tmp_path, capsys, edit):
     pack = tmp_path / "pack"
     shutil.copytree(small_pack, pack)
     _edit_json(pack / "pack.json", edit)
     assert main(["compare", "--pack", str(pack), "--mixed", "none"]) == 1
     assert "pack.json" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_repeated_season(small_pack, capsys):
+    argv = ["compare", "--pack", str(small_pack), "--mixed", "none"]
+    assert main(argv + ["--season", "winter", "--season", "summer", "--season", "winter"]) == 1
+    captured = capsys.readouterr()
+    assert "--season gives winter more than once" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

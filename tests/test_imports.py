@@ -1,11 +1,13 @@
-"""Every imported name is read somewhere in its module."""
+"""Every imported name is read somewhere in its module, and every private
+module-level name in the package is read by some module of it."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mgtdispatch"
 # the package's __init__ imports names only to re-export them
-REEXPORTS = ROOT / "src" / "mgtdispatch" / "__init__.py"
+REEXPORTS = PACKAGE / "__init__.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +34,49 @@ def test_no_unused_imports():
     assert len(files) > 20
     found = [f"{p.relative_to(ROOT)} {hit}" for p in files for hit in unused_imports(p.read_text())]
     assert found == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level _names (functions, classes, constants; dunders aside) that no module reads.
+
+    sources maps module names to source text. A name is read when its own
+    module loads it, or when another module imports it relatively
+    (test_no_unused_imports checks that every import is read).
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((mod, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module, a.name) for a in node.names)
+    unread = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [ast.Name(node.name)]
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            unread += [f"{mod} line {node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and (mod, name) not in read]
+    return unread
+
+
+def test_checker_flags_unread_private_names():
+    sources = {
+        "a": "_USED = 1\n_LEFT: int = 2\n__all__ = []\ndef _helper():\n    return _USED\nclass _Old:\n    pass\n",
+        "b": "from .a import _helper\n_x, _y = _helper(), 0\nprint(_x)\n",
+    }
+    assert unread_private_names(sources) == ["a line 2: _LEFT", "a line 6: _Old", "b line 2: _y"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 10
+    assert unread_private_names(sources) == []

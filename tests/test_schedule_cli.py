@@ -116,6 +116,22 @@ def test_compare_day_shape_and_reductions():
         assert e.runtime_s >= 0.0
 
 
+def test_compare_day_when_the_forecast_plans_cannot_run():
+    # the forecast never drops below 13 kW, so every forecast plan keeps the
+    # unit on; on the realized day it would export at step 2, where selling
+    # is forbidden. Only the benchmark cycles the unit, so it alone is finite
+    # and no reduction is defined.
+    model = cooldown_example(p=10.0, h=20.0, on_cost=1.0, step_seconds=900.0)
+    tariff = flat_tariff(6, 900.0, 0.5, None, 0.1)
+    history = [DemandProfile(np.full(6, p), np.full(6, 20.0)) for p in (13.0, 14.0, 15.0)]
+    realized = DemandProfile(np.array([14.0, 14.0, 6.0, 14.0, 14.0, 14.0]), np.full(6, 20.0))
+    case = compare_day(model, tariff, history, realized, alpha=1.0, alpha1=0.5, alpha2=2.0)
+    assert [(e.name, e.realized_cost, e.reduction_pct) for e in case.entries] == [
+        ("benchmark", 32.0, None), ("nominal", INF, None), ("box", INF, None), ("mixed", INF, None)]
+    assert all(e.feasible for e in case.entries)
+    assert ComparisonReport(cases=(case,)).mean_reduction() == {}
+
+
 def test_comparison_report_render_and_dict():
     rng = np.random.default_rng(71)
     model = cooldown_example(step_seconds=900.0)
@@ -163,6 +179,10 @@ def test_cli_solve_nominal(tmp_path, capsys):
                "--out-schedule", str(tmp_path / "sched.csv")])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report) == ["algorithm", "feasible", "worst_case_cost", "worst_scenario", "threshold",
+                            "thresholds_evaluated", "thresholds_candidates", "schedule_cost",
+                            "evaluation_profile", "runtime_s", "horizon", "n_states", "n_nodes", "n_edges",
+                            "initial_states", "final_states"]
     assert report["algorithm"] == "nominal"
     assert report["feasible"] is True
     assert report["horizon"] == 7
@@ -314,6 +334,9 @@ def test_cli_compare_pack(tmp_path, capsys):
     assert len(data["cases"]) == 1
     algos = data["cases"][0]["algorithms"]
     assert [a["name"] for a in algos] == ["benchmark", "nominal", "box", "mixed"]
+    assert list(algos[3]) == ["name", "feasible", "worst_case_cost", "worst_scenario", "threshold",
+                              "thresholds_evaluated", "thresholds_candidates", "realized_cost",
+                              "reduction_pct", "runtime_s"]
     bench = algos[0]["realized_cost"]
     assert all(a["realized_cost"] >= bench - 1e-12 for a in algos)
     out = capsys.readouterr().out

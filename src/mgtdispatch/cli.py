@@ -202,6 +202,8 @@ def _cmd_compare(args) -> int:
                          load_history(os.path.join(sdir, "history")),
                          load_demand(os.path.join(sdir, "realized.csv"))))
     else:
+        if args.season:
+            raise ValueError("--season needs --pack")
         missing = [f for f in ("model", "tariff", "history", "realized") if getattr(args, f) is None]
         if missing:
             print("compare needs --pack or all of --model/--tariff/--history/--realized "

@@ -113,26 +113,24 @@ class BoxSet(_Box):
 class MixedSet(_Box):
     """Box plus a budgeted single-commodity spike component.
 
-    delta_p/delta_h are the budget weights (1/sigma); steps where the
-    corresponding spike_power/spike_heat flag is False admit no spike and
-    their delta is stored as +inf. mu1 is the shared spike budget, so an
-    enabled step t can receive a spike of mu1 / delta(t) = mu1 * sigma(t).
-    Spikes only add demand, so the box's lower corner is the set's.
+    delta_p/delta_h are the budget weights (1/sigma), +inf on a step and
+    commodity that admits no spike. mu1 is the shared spike budget, so step
+    t can receive a spike of mu1 / delta(t) = mu1 * sigma(t), which is 0
+    where delta is +inf. Spikes only add demand, so the box's lower corner
+    is the set's.
     """
 
     delta_p: np.ndarray
     delta_h: np.ndarray
     mu1: float
-    spike_power: np.ndarray
-    spike_heat: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        for name, dtype in (("delta_p", float), ("delta_h", float), ("spike_power", bool), ("spike_heat", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+        for name in ("delta_p", "delta_h"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (self.n_steps,):
                 raise ValueError(f"{name} must hold one entry per step ({self.n_steps}), got shape {arr.shape}")
-            if dtype is float and not (arr > 0).all():
+            if not (arr > 0).all():
                 raise ValueError(f"{name} must be > 0 (+inf where no spike lands)")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "mu1", float(self.mu1))
@@ -182,19 +180,14 @@ def mixed_set(forecast: Forecast, alpha1: float, alpha2: float) -> MixedSet:
         raise ValueError(f"alpha1 must be finite and >= 0, got {alpha1!r}")
     sp = forecast.sigma_power
     sh = forecast.sigma_heat
-    with np.errstate(divide="ignore"):
-        delta_p = np.where(sp > 0, 1.0 / np.where(sp > 0, sp, 1.0), np.inf)
-        delta_h = np.where(sh > 0, 1.0 / np.where(sh > 0, sh, 1.0), np.inf)
     return MixedSet(
         p0=forecast.mu_power.copy(),
         h0=forecast.mu_heat.copy(),
         dp=alpha1 * sp,
         dh=alpha1 * sh,
-        delta_p=delta_p,
-        delta_h=delta_h,
+        delta_p=np.divide(1.0, sp, out=np.full_like(sp, np.inf), where=sp > 0),
+        delta_h=np.divide(1.0, sh, out=np.full_like(sh, np.inf), where=sh > 0),
         mu1=alpha2,
-        spike_power=sp > 0,
-        spike_heat=sh > 0,
     )
 
 

@@ -360,18 +360,17 @@ def _spike_increments(tariff: Tariff, mset: MixedSet, p_x: np.ndarray, h_x: np.n
                       t0: int) -> tuple[np.ndarray, np.ndarray]:
     """Cost increase of a power and of a heat spike on (rows, width) exchanges of steps [t0, t0 + width).
 
-    0 on steps that admit no such spike, and where a cost is infinite (a
-    forbidden export, which puts +inf on the edge's bias).
+    0 on steps that admit no such spike (delta = +inf adds a spike of
+    exactly 0), and where a cost is infinite (a forbidden export, which puts
+    +inf on the edge's bias).
     """
     t1 = t0 + p_x.shape[-1]
     gains = []
-    for cost_block, x, on, delta in ((tariff.power_cost_block, p_x, mset.spike_power, mset.delta_p),
-                                     (tariff.heat_cost_block, h_x, mset.spike_heat, mset.delta_h)):
-        on = on[t0:t1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = cost_block(x + np.where(on, mset.mu1 / delta[t0:t1], 0.0), t0)
+    for cost_block, x, delta in ((tariff.power_cost_block, p_x, mset.delta_p),
+                                 (tariff.heat_cost_block, h_x, mset.delta_h)):
+        with np.errstate(invalid="ignore"):
+            g = cost_block(x + mset.mu1 / delta[t0:t1], t0)
             g -= cost_block(x, t0)
-        g[..., ~on] = 0.0
         g[~np.isfinite(g)] = 0.0
         gains.append(g)
     return tuple(gains)

@@ -191,11 +191,14 @@ def compare_day(
 ) -> CaseComparison:
     """Solve one day with every strategy and price each against `realized`.
 
-    history feeds the forecast (mean and spread); `mixed` picks the budget
-    sweep flavor ("exact", "additive", "multiplicative", or None to skip),
-    and the sweep's own solver checks epsilon, grid_n or mu.
+    history feeds the forecast (mean and spread), whose days must be as
+    long as the realized one; `mixed` picks the budget sweep flavor
+    ("exact", "additive", "multiplicative", or None to skip), and the
+    sweep's own solver checks epsilon, grid_n or mu.
     """
     forecast = forecast_from_history(history)
+    if forecast.n_steps != realized.n_steps:
+        raise ValueError(f"the forecast has {forecast.n_steps} steps but the realized day has {realized.n_steps}")
     graph = build_graph(model, realized.n_steps + 1, initial=initial, final=final)
     # (label, solver, demand or set to solve against); sets are built here so the timers cover solves only
     plans = [("benchmark", solve_nominal, realized), ("nominal", solve_nominal, forecast.mean_profile()),

@@ -7,10 +7,13 @@ convex by construction; pass nonneg=True to exclude selling so all edge
 costs stay non-negative, or monotone=True to keep every cost function
 finite and non-decreasing on the whole real line (sell price >= 0, never
 forbidden). synth_plant builds the synthetic plant on a seeded day with its
-time-of-use tariffs, for the block and memory tests.
+time-of-use tariffs, for the block and memory tests, and pack_season one
+season of the committed four-season pack.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -23,10 +26,18 @@ from mgtdispatch import (
     Transition,
     TurbineModel,
     build_graph,
+    forecast_from_history,
+    load_history,
+    load_model,
+    load_pack_manifest,
+    load_tariff,
+    mixed_set,
     synth_c65_like,
     synthetic_day,
     tou_tariff,
 )
+
+PACK = Path(__file__).resolve().parents[1] / "data" / "four_season"
 
 
 def random_convex_fn(rng, *, nonneg=False, monotone=False, heat=False) -> PiecewiseLinearCost:
@@ -135,3 +146,14 @@ def synth_plant(horizon: int, n_speeds: int = 3, n_valves: int = 4, peak_hours=(
                                               sell_per_kwh=sell, heat_buy_per_kwh=0.0725,
                                               peak_start_hour=peak_hours[0], peak_end_hour=peak_hours[1]))
                    for sell in (0.05, "forbidden")}
+
+
+def pack_season(season: str, alpha2: float | None = None):
+    """(graph, mixed set, tariff) of one pack season at the manifest widths, or at another alpha2."""
+    manifest = load_pack_manifest(str(PACK))
+    model = load_model(str(PACK / manifest["model"]))
+    tariff = load_tariff(str(PACK / season / "tariff.json"))
+    forecast = forecast_from_history(load_history(str(PACK / season / "history")))
+    graph = build_graph(model, forecast.n_steps + 1)
+    alpha2 = manifest["alpha2"] if alpha2 is None else alpha2
+    return graph, mixed_set(forecast, manifest["alpha1"], alpha2), tariff

@@ -4,9 +4,10 @@ Unlike reference.py, these call into mgtdispatch: brute_force_oracle
 enumerates every s->q path of a built graph and prices each with the
 solvers' own worst-case evaluator, so it checks the search (the
 decomposition, the sweep and the DP), not the pricing. full_sweep is the
-unpruned budget loop that solvers._sweep must reproduce, and
-bertsimas_sim_value the mixed optimum by a dual route that needs neither
-the restricted kernel nor the sweep.
+unpruned budget loop that solvers._sweep must reproduce,
+two_pass_restricted the restricted kernel's tie-break computed inside the
+DP, and bertsimas_sim_value the mixed optimum by a dual route that needs
+neither the restricted kernel nor the sweep.
 
 The scalar oracles price one edge step by step with
 PiecewiseLinearCost.value, in the block route's operation order:
@@ -119,6 +120,51 @@ def full_sweep(graph, costs, thresholds):
     return best
 
 
+def two_pass_restricted(graph, costs, alpha: float) -> PathResult:
+    """shortest_path_restricted as one DP over (bias, max spike) pairs, with two backward passes.
+
+    Per layer, the first pass takes the min bias over the edges with spike
+    <= alpha, and the second the min of max(spike, head's max spike) over
+    the edges that reach it. The walk starts at the smallest (bias, max
+    spike, index) and takes the first slot that keeps both. The package
+    kernel has one objective and re-solves below the path's max spike. It
+    returns this path bit for bit, except where a tie in bias hides from
+    the second pass behind rounding; there it finds the same bias with a
+    smaller max spike.
+    """
+    w, spike = costs.w_bias, costs.w_spike
+    last, s, n = graph.horizon - 1, graph.n_states, graph.n_templates
+    tmpl, heads = graph.tail_slots
+    b = np.full((graph.horizon + graph.duration_groups[-1][0], s), INF)
+    b[last, graph.final_mask] = 0.0
+    b_aux = b.copy()
+    b_flat, aux_flat = b.reshape(-1), b_aux.reshape(-1)
+    for t in range(last - 1, -1, -1):
+        wrow = np.where((spike[t] > alpha) | (graph.dur > last - t), INF, w[t])
+        cand = np.append(wrow, INF)[tmpl] + b_flat[t * s:][heads]
+        b[t] = cand.min(axis=0)
+        aux = np.maximum(np.append(spike[t], INF)[tmpl], aux_flat[t * s:][heads])
+        aux[cand != b[t]] = INF
+        b_aux[t] = aux.min(axis=0)
+    total, target_aux, x = min((b[0, x], b_aux[0, x], int(x)) for x in np.nonzero(graph.initial_mask)[0])
+    if total == INF:
+        return PathResult(False, (), (), INF, INF)
+    t, edges, nodes = 0, [], [(0, graph.model.states[x])]
+    while t < last:
+        for k, j in zip(tmpl[:, x].tolist(), heads[:, x].tolist()):
+            j += t * s
+            # each accepted spike is <= target_aux, so the path's max spike is target_aux
+            if (k < n and not spike[t, k] > alpha and w[t, k] + b_flat[j] == b[t, x]
+                    and not max(spike[t, k], aux_flat[j]) > target_aux):
+                break
+        else:
+            raise RuntimeError(f"walk lost the optimum at layer {t}, state {x}")
+        edges.append(Edge(t, k))
+        t, x = divmod(j, s)
+        nodes.append((t, graph.model.states[x]))
+    return PathResult(True, tuple(edges), tuple(nodes), float(total), float(target_aux))
+
+
 def lower_corner(uset) -> DemandProfile:
     """Lowest demand of a box or mixed set: mean minus half-width, clamped at zero; spikes only add."""
     return DemandProfile(np.maximum(uset.p0 - uset.dp, 0.0), np.maximum(uset.h0 - uset.dh, 0.0))
@@ -158,13 +204,13 @@ def spike_gain(graph, edge: Edge, bias: DemandProfile, mset, tariff) -> tuple[fl
     k, t = edge.template, edge.time
     best, step, what = 0.0, -1, ""
     for j in range(t, t + int(graph.dur[k])):
-        if mset.spike_power[j]:
+        if np.isfinite(mset.delta_p[j]):
             fn = tariff.power_fn(j)
             x = float(bias.power_kw[j] - graph.power[k])
             gain = fn.value(x + mset.mu1 / mset.delta_p[j]) - fn.value(x)
             if gain > best:
                 best, step, what = gain, j, "power"
-        if mset.spike_heat[j]:
+        if np.isfinite(mset.delta_h[j]):
             fn = tariff.heat_fn(j)
             x = float(bias.heat_kw[j] - graph.heat[k])
             gain = fn.value(x + mset.mu1 / mset.delta_h[j]) - fn.value(x)

@@ -12,6 +12,8 @@ graph code.
 
 from __future__ import annotations
 
+import math
+
 INF = float("inf")
 
 
@@ -97,8 +99,8 @@ def ref_mixed_scenarios(mset, n_steps: int):
     """All extreme demand profiles of a mixed set, as (label, power, heat).
 
     Built directly from the set's fields: the bias corner, then for each
-    step one profile per enabled spike commodity with mu1/delta added on
-    that step only.
+    step one profile per commodity with a finite delta, with mu1/delta
+    added on that step only.
     """
     base_p = [mset.p0[t] + mset.dp[t] for t in range(n_steps)]
     base_h = [mset.h0[t] + mset.dh[t] for t in range(n_steps)]
@@ -106,15 +108,27 @@ def ref_mixed_scenarios(mset, n_steps: int):
     if mset.mu1 == 0:
         return out
     for t in range(n_steps):
-        if mset.spike_power[t]:
+        if math.isfinite(mset.delta_p[t]):
             p = list(base_p)
             p[t] += mset.mu1 / mset.delta_p[t]
             out.append((f"power-spike@{t}", p, list(base_h)))
-        if mset.spike_heat[t]:
+        if math.isfinite(mset.delta_h[t]):
             h = list(base_h)
             h[t] += mset.mu1 / mset.delta_h[t]
             out.append((f"heat-spike@{t}", list(base_p), h))
     return out
+
+
+def ref_spread_scenario(mset, n_steps: int, spikes):
+    """("spread", power, heat) of the bias corner plus several spikes at once.
+
+    spikes lists (step, commodity, size) triples, commodity "power" or
+    "heat"; the caller keeps the sum of delta * size within mu1.
+    """
+    _, p, h = ref_mixed_scenarios(mset, n_steps)[0]
+    for t, what, size in spikes:
+        (p if what == "power" else h)[t] += size
+    return "spread", p, h
 
 
 def ref_lower_corner(uset, n_steps: int):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgtdispatch import build_four_season_pack
+from mgtdispatch import DemandProfile, build_four_season_pack, load_demand, save_demand
 from mgtdispatch.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -184,6 +184,35 @@ def test_compare_refuses_a_repeated_season(small_pack, capsys):
     assert main(argv + ["--season", "winter", "--season", "summer", "--season", "winter"]) == 1
     captured = capsys.readouterr()
     assert "--season gives winter more than once" in captured.err
+    assert captured.out == ""
+
+
+def _compare_files(pack: Path) -> list[str]:
+    w = pack / "winter"
+    return ["compare", "--model", str(pack / "model.json"), "--tariff", str(w / "tariff.json"),
+            "--history", str(w / "history"), "--mixed", "none"]
+
+
+@pytest.mark.parametrize("n_steps", [11, 10])
+def test_compare_refuses_a_realized_day_of_another_length(small_pack, tmp_path, capsys, n_steps):
+    # the history's days have 12 steps; one step fewer used to drop the
+    # forecast's last step without a word
+    day = load_demand(str(small_pack / "winter" / "realized.csv"))
+    realized = tmp_path / "realized.csv"
+    save_demand(DemandProfile(day.power_kw[:n_steps], day.heat_kw[:n_steps]), str(realized))
+    assert main(_compare_files(small_pack) + ["--realized", str(realized)]) == 1
+    captured = capsys.readouterr()
+    assert f"the forecast has 12 steps but the realized day has {n_steps}" in captured.err
+    assert captured.out == ""
+
+
+def test_compare_refuses_season_without_pack(small_pack, capsys):
+    argv = _compare_files(small_pack) + ["--realized", str(small_pack / "winter" / "realized.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--season", "summer", "--season", "summer"]) == 1
+    captured = capsys.readouterr()
+    assert "--season needs --pack" in captured.err
     assert captured.out == ""
 
 

@@ -85,10 +85,10 @@ def test_mixed_set_weights():
                               ("delta_p", np.array([0.1, 0.0]), "delta_p must be > 0"),
                               ("delta_h", np.array([np.nan, 0.25]), "delta_h must be > 0"),
                               ("delta_p", np.full(3, 0.1), "one entry per step"),
-                              ("spike_heat", np.array([True]), "one entry per step")):
+                              ("delta_h", np.array([0.25]), "one entry per step")):
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(m, **{field: bad})
-    assert dataclasses.replace(m, delta_h=[np.inf, 0.25], spike_heat=[False, True]).delta_h.dtype == np.float64
+    assert dataclasses.replace(m, delta_h=[np.inf, 0.25]).delta_h.dtype == np.float64
     with pytest.raises(ValueError, match="alpha1"):
         mixed_set(fc, -1.0, 1.0)
     with pytest.raises(ValueError, match="mu1"):
@@ -99,9 +99,8 @@ def test_sigma_zero_disables_spike():
     fc = Forecast(np.array([10.0, 10.0]), np.array([5.0, 5.0]),
                   np.array([0.0, 2.0]), np.array([1.0, 0.0]))
     m = mixed_set(fc, 1.0, 3.0)
-    assert not m.spike_power[0] and m.spike_power[1]
-    assert m.spike_heat[0] and not m.spike_heat[1]
     assert np.isinf(m.delta_p[0]) and np.isinf(m.delta_h[1])
+    assert m.delta_p[1] == 0.5 and m.delta_h[0] == 1.0
 
 
 def test_bias_corner_and_spike_sizes():

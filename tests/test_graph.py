@@ -422,7 +422,7 @@ def test_spike_sizes_scale_with_sigma():
         if fc.sigma_power[t] > 0:
             assert mset.mu1 / mset.delta_p[t] == pytest.approx(3.0 * fc.sigma_power[t])
         else:
-            assert not mset.spike_power[t]
+            assert np.isinf(mset.delta_p[t])
 
 
 def test_set_weights_refuse_falling_costs(tiny_graph):

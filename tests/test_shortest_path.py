@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
+import mgtdispatch.shortest_path as shortest_path
 from mgtdispatch import (
     DemandProfile,
     EdgeCosts,
     Transition,
     TurbineModel,
+    bias_spike_costs,
     build_graph,
     cooldown_example,
+    mixed_set,
     scenario_weights,
     shortest_path_dag,
     shortest_path_restricted,
     synth_c65_like,
 )
-from instances import random_instance, random_model
-from oracles import enumerate_paths
+from instances import pack_season, random_instance, random_model, synth_plant
+from oracles import enumerate_paths, two_pass_restricted
 from reference import ref_walks
 
 INF = float("inf")
@@ -316,3 +319,72 @@ def test_kernels_match_enumeration_out_of_tail_order():
         # the shuffled model gives the same totals and node sequences
         assert got[:len(got) // 2] == got[len(got) // 2:]
     assert n_feasible >= 150
+
+
+def _drawn_costs(rng, bias, spike):
+    """A random graph with edge costs drawn by bias(rng, shape) and spike(rng, shape); absent edges +inf and 0."""
+    inst = random_instance(rng, max_horizon=7, max_states=4)
+    g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+    shape = (g.horizon, g.n_templates)
+    absent = np.arange(g.horizon)[:, None] + g.dur[None, :] > g.horizon - 1
+    return g, EdgeCosts(np.where(absent, INF, bias(rng, shape)), np.where(absent, 0.0, spike(rng, shape)))
+
+
+def _kernel_cases(rng):
+    """(family, graph, EdgeCosts) on which the restricted kernel must match its two-pass oracle."""
+    for _ in range(40):
+        inst = random_instance(rng, monotone=True)
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.5)))
+        yield "package", g, bias_spike_costs(g, mset, inst["tariff"])
+    for _ in range(60):
+        yield "integer", *_drawn_costs(rng, lambda r, sh: r.integers(0, 4, sh).astype(float),
+                                       lambda r, sh: r.integers(0, 5, sh).astype(float))
+        # binary fractions tie exactly in sums; spikes run long-tailed
+        yield "spiky", *_drawn_costs(rng, lambda r, sh: np.where(r.random(sh) < 0.6, r.choice([0.25, 0.5], sh),
+                                                                   r.uniform(0.0, 0.2, sh)),
+                                     lambda r, sh: r.exponential(3.0, sh))
+    for horizon in (13, 25):
+        g, fc, tariffs = synth_plant(horizon)
+        for tariff in tariffs.values():
+            yield "plant", g, bias_spike_costs(g, mixed_set(fc, 0.5, 2.0), tariff)
+    g, mset, tariff = pack_season("summer")
+    yield "pack", g, bias_spike_costs(g, mset, tariff)
+
+
+def test_restricted_matches_two_pass_oracle(monkeypatch):
+    # every exact threshold, plus budgets between and above them; repr
+    # compares floats bit for bit, -0.0 included. The oracle keeps a tie in
+    # bias only where each node's suffix sum equals its DP value; a path
+    # whose suffix sum lies an ulp above it can still fold to the same bias
+    # and have a smaller max spike. The re-solve finds that path, and it is
+    # the oracle's own path at that smaller budget.
+    rng = np.random.default_rng(61)
+    passes = []
+
+    def solve(*args, _orig=shortest_path._solve):
+        passes[-1] += 1
+        return _orig(*args)
+
+    monkeypatch.setattr(shortest_path, "_solve", solve)
+    seen = {}
+    for family, g, costs in _kernel_cases(rng):
+        grid = np.unique(costs.w_spike)
+        budgets = np.concatenate((grid, (grid[:-1] + grid[1:])[::4] / 2.0, [grid[-1] * 1.5 + 1.0]))
+        n = seen.setdefault(family, [0, 0, 0])
+        for alpha in budgets.tolist():
+            passes.append(0)
+            got = shortest_path_restricted(g, costs, alpha)
+            want = two_pass_restricted(g, costs, alpha)
+            if got.feasible and got.aux_max < want.aux_max:
+                assert got.total == want.total, (family, alpha)
+                want = two_pass_restricted(g, costs, got.aux_max)
+                n[2] += 1
+            assert repr(got) == repr(want), (family, alpha)
+            n[0] += got.feasible
+            # a third pass means a re-solve kept its bias and cut the max spike
+            n[1] += passes[-1] > 2
+    assert seen.keys() == {"package", "integer", "spiky", "plant", "pack"}
+    assert all(feasible >= 100 for feasible, _, _ in seen.values()), seen
+    assert sum(tied for _, tied, _ in seen.values()) >= 50, seen
+    assert seen["plant"][2] >= 10, seen

@@ -8,9 +8,12 @@ import pytest
 from mgtdispatch import (
     BoxSet,
     DemandProfile,
+    Edge,
     Forecast,
     PiecewiseLinearCost,
     Tariff,
+    Transition,
+    TurbineModel,
     box_set,
     build_graph,
     build_schedule,
@@ -27,10 +30,11 @@ from mgtdispatch import (
     worst_corner,
 )
 from mgtdispatch.demand import bias_profile
+from mgtdispatch.graph import _set_corners
 from mgtdispatch.solvers import _solve_mixed
 from instances import random_instance, synth_plant
-from oracles import brute_force_oracle, enumerate_paths
-from reference import ref_solve
+from oracles import brute_force_oracle, enumerate_paths, path_from_edges
+from reference import ref_solve, ref_spread_scenario, ref_walk_cost, ref_walk_worstcase
 
 INF = float("inf")
 
@@ -289,6 +293,71 @@ def test_solvers_match_independent_reference():
                 n_feasible += 1
                 assert res.worst_case_cost == pytest.approx(ref_cost, rel=1e-9, abs=1e-12)
     assert n_feasible >= 300
+
+
+def _spread_spikes(rng, mset, n_steps: int) -> list[tuple[int, str, float]]:
+    """The budget mu1 spread over two or three random (step, commodity) pairs that admit a spike.
+
+    Shares are drawn at random and add up to at most 1, so the sum of
+    delta * size stays within mu1. Empty when fewer than two pairs admit one.
+    """
+    pairs = [(t, what, float(delta[t])) for t in range(n_steps)
+             for what, delta in (("power", mset.delta_p), ("heat", mset.delta_h)) if np.isfinite(delta[t])]
+    if len(pairs) < 2:
+        return []
+    pick = rng.choice(len(pairs), size=min(len(pairs), int(rng.integers(2, 4))), replace=False)
+    shares = rng.dirichlet(np.ones(len(pick))) * (1.0 if rng.random() < 0.5 else rng.uniform(0.3, 1.0))
+    return [(pairs[i][0], pairs[i][1], float(f * mset.mu1 / pairs[i][2])) for i, f in zip(pick, shares)]
+
+
+def test_no_spread_spike_beats_the_single_spike():
+    # the mixed solvers price a set by one spike of the whole budget on one
+    # step and commodity; under convex costs the worst case over the budget
+    # polytope lies at such a vertex, so a spike spread over two or three
+    # pairs never costs a plan more than path_worstcase_cost says
+    rng = np.random.default_rng(233)
+    n_checked = 0
+    for i in range(60):
+        flavor = ({}, {"nonneg": True}, {"monotone": True})[i % 3]
+        inst = random_instance(rng, max_horizon=7, max_states=4, **flavor)
+        g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
+        mset = mixed_set(inst["forecast"], float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 3.0)))
+        n = g.n_priced_steps
+        for _, (start, edges) in zip(range(6), enumerate_paths(g)):
+            path = path_from_edges(g, edges, start)
+            worst, _ = path_worstcase_cost(g, path, mset, inst["tariff"])
+            walk = [(e.time, g.model.transitions[e.template]) for e in edges]
+            for _ in range(8):
+                spikes = _spread_spikes(rng, mset, n)
+                if not spikes:
+                    continue
+                _, p, h = ref_spread_scenario(mset, n, spikes)
+                cost = ref_walk_cost(inst["model"], inst["tariff"], walk, p, h)
+                assert cost <= worst + 1e-9 * max(1.0, abs(worst)), (spikes, cost, worst)
+                n_checked += 1
+    assert n_checked >= 1000
+
+
+def test_spread_spike_beats_the_single_spike_on_concave_costs():
+    # negative control: with a buy slope that drops from 1.0 to 0.2 past
+    # 10 kW, the budget spread as 10 kW on each of two steps costs 20, while
+    # the whole budget on one step (20 kW) costs 10 + 2 = 12. The convexity
+    # gate refuses this tariff for a mixed set, so no solver prices it.
+    model = TurbineModel(900.0, ("x",), (Transition("x", "keep", "x", 1, 0.0, 0.0, 0.0),))
+    g = build_graph(model, 3)
+    steps = np.zeros(2, dtype=np.int32)
+    tariff = Tariff(900.0, 2, (PiecewiseLinearCost(0.0, (0.0, 10.0), (1.0, 0.2)),), steps,
+                    (PiecewiseLinearCost(0.0, (0.0,), (0.1,)),), steps)
+    mset = mixed_set(Forecast([0.0] * 2, [0.0] * 2, [10.0] * 2, [0.0] * 2), 0.0, 2.0)
+    walk = [(t, model.transitions[0]) for t in range(2)]
+    single, label = ref_walk_worstcase(model, tariff, walk, mset, 2)
+    _, p, h = ref_spread_scenario(mset, 2, [(0, "power", 10.0), (1, "power", 10.0)])
+    assert (single, label) == (12.0, "power-spike@0")
+    assert ref_walk_cost(model, tariff, walk, p, h) == 20.0
+    path = path_from_edges(g, [Edge(t, 0) for t in range(2)], 0)
+    for price in (_set_corners, lambda *a: path_worstcase_cost(a[0], path, *a[1:])):
+        with pytest.raises(ValueError, match="convex tariff"):
+            price(g, mset, tariff)
 
 
 def test_robust_solvers_refuse_falling_costs(smoke):

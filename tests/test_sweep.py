@@ -15,22 +15,17 @@ so it checks the sweep's value on instances too large to enumerate.
 
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mgtdispatch.shortest_path as shortest_path
 import mgtdispatch.solvers as solvers
 from mgtdispatch import (
     EdgeCosts,
     bias_spike_costs,
     build_graph,
     cooldown_example,
-    forecast_from_history,
-    load_history,
-    load_model,
-    load_pack_manifest,
-    load_tariff,
     mixed_set,
     shortest_path_dag,
     shortest_path_restricted,
@@ -38,11 +33,10 @@ from mgtdispatch import (
     solve_mixed_exact,
     solve_mixed_multiplicative,
 )
-from instances import random_instance, synth_plant
+from instances import pack_season, random_instance, synth_plant
 from oracles import bertsimas_sim_value, full_sweep
 
 INF = float("inf")
-PACK = Path(__file__).resolve().parents[1] / "data" / "four_season"
 
 
 def grid_oracle(costs, epsilon=None, grid_n=None, mu=None):
@@ -214,25 +208,42 @@ def test_stop_bound_ends_the_chain_above_the_bottom(monkeypatch):
     assert solved == [4.0, 1.0, 2.0] and solves == 3
 
 
-def _pack_season(season: str, alpha2: float | None = None):
-    manifest = load_pack_manifest(str(PACK))
-    model = load_model(str(PACK / manifest["model"]))
-    tariff = load_tariff(str(PACK / season / "tariff.json"))
-    forecast = forecast_from_history(load_history(str(PACK / season / "history")))
-    graph = build_graph(model, forecast.n_steps + 1)
-    alpha2 = manifest["alpha2"] if alpha2 is None else alpha2
-    return graph, mixed_set(forecast, manifest["alpha1"], alpha2), tariff
-
-
 @pytest.mark.parametrize("season", ["winter", "spring", "summer", "autumn"])
 def test_pruned_matches_full_on_pack(season, spy):
-    g, mset, tariff = _pack_season(season)
+    g, mset, tariff = pack_season(season)
     n_feasible, _ = _check_against_full(g, mset, tariff, spy)
     assert n_feasible == 6
     exact = solve_mixed_exact(g, mset, tariff)
     # hundreds of candidates, a handful of solves
     assert exact.thresholds_candidates > 500
     assert exact.thresholds_evaluated == {"winter": 6, "spring": 3, "summer": 2, "autumn": 6}[season]
+
+
+def test_restricted_solves_take_at_most_two_passes_on_pack(monkeypatch):
+    # a restricted solve re-solves below its path's max spike until the bias
+    # changes; on the pack one pass or two settle every sweep's solves
+    passes = []
+
+    def solve(*args, _orig=shortest_path._solve):
+        passes[-1] += 1
+        return _orig(*args)
+
+    def restricted(*args):
+        passes.append(0)
+        return shortest_path_restricted(*args)
+
+    monkeypatch.setattr(shortest_path, "_solve", solve)
+    monkeypatch.setattr(solvers, "shortest_path_restricted", restricted)
+    evaluated = 0
+    for season in ("winter", "spring", "summer", "autumn"):
+        for alpha2 in (None, 40.0):
+            g, mset, tariff = pack_season(season, alpha2)
+            for sol in (solve_mixed_exact(g, mset, tariff), solve_mixed_additive(g, mset, tariff, grid_n=30),
+                        solve_mixed_multiplicative(g, mset, tariff, mu=0.25)):
+                assert sol.feasible
+                evaluated += sol.thresholds_evaluated
+    assert len(passes) == evaluated
+    assert set(passes) <= {1, 2} and 2 in passes
 
 
 def _check_bertsimas_sim(g, mset, tariff, epsilon: float, mu: float) -> bool:
@@ -258,7 +269,7 @@ def _check_bertsimas_sim(g, mset, tariff, epsilon: float, mu: float) -> bool:
 
 @pytest.mark.parametrize("season", ["winter", "spring", "summer", "autumn"])
 def test_exact_matches_bertsimas_sim_on_pack(season):
-    g, mset, tariff = _pack_season(season)
+    g, mset, tariff = pack_season(season)
     assert _check_bertsimas_sim(g, mset, tariff, epsilon=0.5, mu=0.05)
 
 
@@ -267,7 +278,7 @@ def test_spike_moves_the_pack_plan_at_wide_budget(season):
     # at alpha2 = 40, the CLI's default spike width, the exact plan gives up
     # the cheapest bias path to dodge a spike, so a sweep that ignored the
     # spike in its score would miss V* here
-    g, mset, tariff = _pack_season(season, alpha2=40.0)
+    g, mset, tariff = pack_season(season, alpha2=40.0)
     costs = bias_spike_costs(g, mset, tariff)
     exact = solve_mixed_exact(g, mset, tariff)
     assert exact.worst_case_cost == bertsimas_sim_value(g, costs)
@@ -315,7 +326,7 @@ def test_sweep_matches_bertsimas_sim_on_spiky_integer_costs():
 
 def test_tiny_multiplicative_ratio_is_refused_fast():
     # about 2.7e9 rungs against some 20,000 edge spike values
-    g, mset, tariff = _pack_season("autumn")
+    g, mset, tariff = pack_season("autumn")
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="rungs"):
         solve_mixed_multiplicative(g, mset, tariff, mu=1e-9)

@@ -279,12 +279,13 @@ def _cmd_validate(args) -> int:
 
     if args.history:
         days = load_history(args.history)
-        lengths = {d.n_steps for d in days}
-        if len(lengths) > 1:
+        try:
+            forecast_from_history(days)
+        except ValueError as exc:
             failed = True
-            print(f"history: day lengths differ: {sorted(lengths)}")
+            print(f"history: {exc}")
         else:
-            print(f"history: ok ({len(days)} days of {lengths.pop()} steps)")
+            print(f"history: ok ({len(days)} days of {days[0].n_steps} steps)")
 
     return 1 if failed else 0
 

@@ -249,9 +249,20 @@ def model_to_dict(model: TurbineModel) -> dict:
     }
 
 
+def _number(value, what: str) -> float:
+    """A number read from a file; true, "5" and integers beyond every float are refused."""
+    # JSON true is an int to Python, and an integer literal can exceed every float
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number, got an integer beyond every float") from None
+
+
 def _int_field(value, what: str) -> int:
     """A step count or index read from a file; 2.5, NaN and Infinity are refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(value, what).is_integer():
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
@@ -271,14 +282,14 @@ def model_from_dict(data: dict) -> TurbineModel:
                 control=_name_field(row["control"], "control"),
                 to_state=_name_field(row["to"], "to"),
                 duration_steps=_int_field(row["duration_steps"], "duration_steps"),
-                power_kw=float(row["power_kw"]),
-                heat_kw=float(row["heat_kw"]),
-                op_cost=float(row["op_cost"]),
+                power_kw=_number(row["power_kw"], "power_kw"),
+                heat_kw=_number(row["heat_kw"], "heat_kw"),
+                op_cost=_number(row["op_cost"], "op_cost"),
             )
             for row in data["transitions"]
         )
         states = tuple(_name_field(s, "state name") for s in data["states"])
-        return TurbineModel(float(data["step_seconds"]), states, trs)
+        return TurbineModel(_number(data["step_seconds"], "step_seconds"), states, trs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
 

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .demand import DemandProfile, save_demand, synthetic_day
-from .model import SynthConfig, save_model, synth_c65_like
+from .model import SynthConfig, _number, save_model, synth_c65_like
 from .tariff import TouConfig, save_tariff, tou_tariff
 
 SEASONS = ("winter", "spring", "summer", "autumn")
@@ -128,9 +128,8 @@ def load_pack_manifest(pack_dir: str) -> dict:
     if repeated := _repeats(seasons):
         raise ValueError(f"{path}: 'seasons' lists {repeated} more than once")
     for key in ("alpha", "alpha1", "alpha2"):
-        width = manifest.get(key, 0.0)
-        # JSON true is an int to Python, and an integer literal can exceed every float
-        if isinstance(width, bool) or not (isinstance(width, (int, float)) and 0 <= width <= sys.float_info.max):
+        width = _number(manifest.get(key, 0.0), f"{path}: {key!r}")
+        if not 0 <= width <= sys.float_info.max:
             raise ValueError(f"{path}: {key!r} must be a finite number >= 0, got {width!r}")
     return manifest
 

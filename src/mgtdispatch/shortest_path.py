@@ -5,14 +5,15 @@ edges whose spike is at most a budget alpha (every edge in a plain
 solve), then a forward walk (_walk). Edge costs are (horizon, templates)
 arrays in template order. Each layer gathers its row into the graph's
 tail_slots matrix (a column per state, +inf in pad slots) and takes one
-min down the columns. Value arrays carry max-duration +inf rows past the
-horizon, so head indices need no clamp. Template k has no edge at layer
-t when t + dur[k] > horizon - 1; the relaxation reads that slot as +inf
-whatever the weight array holds. The walk starts at the initial state
-with the smallest (value, index) and scans the state's slot column,
-which lists its templates by (duration, head, template). It steps to the
-first usable successor whose candidate value reproduces the stored
-optimum exactly; a head past the horizon reads +inf and never matches.
+min down the columns. Weights are finite or +inf. Value arrays carry
+max-duration +inf rows past the horizon, so head indices need no clamp:
+template k has no edge at layer t when t + dur[k] > horizon - 1, and
+that slot reads +inf through its head whatever its weight. The walk
+starts at the initial state with the smallest (value, index) and scans
+the state's slot column, which lists its templates by (duration, head,
+template). It steps to the first usable successor whose candidate value
+reproduces the stored optimum exactly; a head past the horizon reads
++inf and never matches.
 So the returned path is the lexicographically smallest node sequence
 among the optimal ones, its right-fold cost equals the DP value bit for
 bit, and its max spike is read off the edges it takes.
@@ -95,8 +96,6 @@ def _solve(graph: DispatchGraph, w: np.ndarray, spike: np.ndarray | None, alpha:
     b_flat = b.reshape(-1)
     for t in range(last - 1, -1, -1):
         wrow = np.where(spike[t] > alpha, INF, w[t]) if restricted else w[t]
-        if t + graph.duration_groups[-1][0] > last:
-            wrow = np.where(graph.dur > last - t, INF, wrow)
         cand = np.append(wrow, INF)[tmpl]
         cand += b_flat[t * s:][heads]
         b[t] = cand.min(axis=0)

@@ -21,11 +21,12 @@ and multiplicative variants thin the grid and give V* + eps and (1 + mu) * V*
 guarantees.
 
 The sweep (_sweep) walks down the grid in a chain: each solve settles every
-threshold from its path's max spike up, so the next solve is just below
-that, and the walk stops once no lower threshold can win. It returns what
-solving every threshold would. A solution reports both counts:
-thresholds_candidates is the size of the grid, thresholds_evaluated the
-restricted solves run.
+threshold from its path's max spike up, since a solve at any of them
+would return the same path, so the next solve is just below that, and
+the walk stops once no lower threshold can win. It returns what solving
+every threshold would, and never solves a threshold it has settled. A
+solution reports both counts: thresholds_candidates is the size of the
+grid, thresholds_evaluated the restricted solves run.
 """
 
 from __future__ import annotations
@@ -180,18 +181,18 @@ def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
     thresholds are never solved. The driver walks down from the top
     threshold, using three facts:
 
-    - a solve at a_i giving (B, S) fixes B and S on every threshold in
-      [S, a_i], since its path stays feasible there and fewer edges never
-      lower B; the smallest threshold a_m >= S has the best key of them,
-      (B + S, S, a_m), so the next solve is at a_(m-1);
+    - a solve at a_i giving the path P with (B, S) returns P itself on
+      every threshold in [S, a_i]: P stays feasible there, fewer edges
+      never lower B, and S is the smallest budget that keeps B, so each of
+      those solves ends at P. The smallest threshold a_m >= S has the best
+      key of them, (B + S, S, a_m), so the next solve is at a_(m-1);
     - no lower threshold has a bias below B and spikes are never negative,
       so the walk stops once the incumbent key is below (B, 0, inf);
     - an infeasible solve makes every lower threshold infeasible.
 
-    A winning threshold that was inferred, not solved, is solved at the end
-    for its path.
+    So the winner's path is the one from the solve that settled its budget.
     """
-    best = None  # (key, its path or None when inferred)
+    best = None
     solves = 0
     i = len(thresholds) - 1
     while i >= 0:
@@ -202,17 +203,11 @@ def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
         m = int(np.searchsorted(thresholds, res.aux_max))
         key = (res.total + res.aux_max, res.aux_max, float(thresholds[m]))
         if best is None or key < best[0]:
-            best = (key, res if m == i else None)
+            best = (key, res, key[2])
         if best[0] < (res.total, 0.0, INF):
             break
         i = m - 1
-    if best is None:
-        return None, solves
-    key, path = best
-    if path is None:
-        path = shortest_path_restricted(graph, costs, key[2])
-        solves += 1
-    return (key, path, key[2]), solves
+    return best, solves
 
 
 def _finish_mixed(graph, mset, tariff, costs: EdgeCosts, thresholds: np.ndarray,

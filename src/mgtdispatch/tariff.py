@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _int_field
+from .model import _int_field, _number
 
 INF = float("inf")
 
@@ -285,7 +285,7 @@ def tariff_to_dict(tariff: Tariff) -> dict:
 
 def tariff_from_dict(data: dict) -> Tariff:
     try:
-        dt = float(data["step_seconds"])
+        dt = _number(data["step_seconds"], "step_seconds")
         horizon = _int_field(data["horizon_steps"], "horizon_steps")
         per_step = dt / 3600.0
         functions: list[PiecewiseLinearCost] = []
@@ -295,8 +295,8 @@ def tariff_from_dict(data: dict) -> Tariff:
             if not (0 <= a < b <= horizon):
                 raise ValueError(f"bad step range [{a}, {b})")
             sell = row["sell_per_kwh"]
-            neg = None if sell == "forbidden" else float(sell) * per_step
-            fn = PiecewiseLinearCost(neg, (0.0,), (float(row["buy_per_kwh"]) * per_step,))
+            neg = None if sell == "forbidden" else _number(sell, "sell_per_kwh") * per_step
+            fn = PiecewiseLinearCost(neg, (0.0,), (_number(row["buy_per_kwh"], "buy_per_kwh") * per_step,))
             if (index[a:b] != -1).any():
                 raise ValueError(f"overlapping power ranges at [{a}, {b})")
             functions.append(fn)
@@ -304,7 +304,7 @@ def tariff_from_dict(data: dict) -> Tariff:
         if (index == -1).any():
             gap = int(np.nonzero(index == -1)[0][0])
             raise ValueError(f"power ranges leave step {gap} unpriced")
-        heat_fn = PiecewiseLinearCost(0.0, (0.0,), (float(data["heat"]["buy_per_kwh"]) * per_step,))
+        heat_fn = PiecewiseLinearCost(0.0, (0.0,), (_number(data["heat"]["buy_per_kwh"], "heat buy_per_kwh") * per_step,))
         return Tariff(dt, horizon, tuple(functions), index, (heat_fn,), np.zeros(horizon, dtype=np.int32))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tariff description: {exc}") from exc

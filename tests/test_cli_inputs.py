@@ -133,6 +133,42 @@ def test_integer_fields_refuse_infinity_and_fractions(small_pack, tmp_path, caps
         assert "whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, edit", [
+    ("model.json", lambda d: d["transitions"][3].update(duration_steps=True)),
+    ("model.json", lambda d: d["transitions"][3].update(power_kw="5")),
+    ("model.json", lambda d: d.update(step_seconds="900")),
+    ("model.json", lambda d: d["transitions"][3].update(op_cost=10 ** 400)),
+    ("winter/tariff.json", lambda d: d["power"][0].update(buy_per_kwh=True)),
+    ("winter/tariff.json", lambda d: d["power"][0].update(sell_per_kwh=False)),
+    ("winter/tariff.json", lambda d: d.update(horizon_steps="12")),
+    ("winter/tariff.json", lambda d: d.update(step_seconds="900")),
+    ("winter/tariff.json", lambda d: d.update(step_seconds=10 ** 400)),
+    ("winter/tariff.json", lambda d: d["heat"].update(buy_per_kwh=10 ** 400)),
+], ids=["duration-true", "power-string", "model-step-string", "op-cost-huge", "buy-true", "sell-false",
+        "horizon-string", "tariff-step-string", "tariff-step-huge", "heat-buy-huge"])
+def test_numeric_fields_refuse_bools_strings_and_huge_integers(small_pack, tmp_path, capsys, target, edit):
+    # float() read true as 1.0 and "5" as 5.0, and overflowed on an integer
+    # literal beyond every float
+    pack = tmp_path / "pack"
+    shutil.copytree(small_pack, pack)
+    _edit_json(pack / target, edit)
+    for argv in _commands(pack):
+        assert main(argv) == 1
+        assert "must be a number" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_history_forecasting_refuses(small_pack, tmp_path, capsys):
+    # one day gives no spread; solve and compare refuse it, so validate does too
+    hist = tmp_path / "history"
+    hist.mkdir()
+    shutil.copy(small_pack / "winter" / "history" / "day01.csv", hist)
+    assert main(["validate", "--model", str(small_pack / "model.json"), "--history", str(hist)]) == 1
+    assert "history: need at least two historical days" in capsys.readouterr().out
+    shutil.copy(small_pack / "winter" / "history" / "day02.csv", hist)
+    assert main(["validate", "--model", str(small_pack / "model.json"), "--history", str(hist)]) == 0
+    assert "history: ok (2 days of 12 steps)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["transitions"][3].update(control=float("nan")),
     lambda d: d["transitions"][3].update(control={}),

@@ -388,3 +388,28 @@ def test_restricted_matches_two_pass_oracle(monkeypatch):
     assert all(feasible >= 100 for feasible, _, _ in seen.values()), seen
     assert sum(tied for _, tied, _ in seen.values()) >= 50, seen
     assert seen["plant"][2] >= 10, seen
+
+
+def test_restricted_path_is_the_solve_at_every_budget_down_to_its_max_spike():
+    # a solve at alpha whose path has max spike S returns that path, bit for
+    # bit, at S and at every exact threshold in [S, alpha]: S is the smallest
+    # budget that keeps the bias, so each of those solves ends at the same
+    # path. The budget sweep keeps that path for its winning threshold.
+    rng = np.random.default_rng(67)
+    seen = {}
+    for family, g, costs in _kernel_cases(rng):
+        grid = np.unique(costs.w_spike)
+        n = seen.setdefault(family, [0, 0])
+        for alpha in [*grid[::3].tolist(), float(grid[-1]) * 1.5 + 1.0]:
+            got = shortest_path_restricted(g, costs, alpha)
+            if not got.feasible:
+                continue
+            level = grid[np.searchsorted(grid, got.aux_max):np.searchsorted(grid, alpha, "right")]
+            # at most five thresholds per solve, the level's ends among them
+            picks = level[np.unique(np.linspace(0, len(level) - 1, min(len(level), 5)).astype(int))]
+            for beta in [got.aux_max, *picks.tolist()]:
+                assert repr(shortest_path_restricted(g, costs, beta)) == repr(got), (family, alpha, beta)
+            n[0] += 1
+            n[1] += len(picks) > 1
+    assert seen.keys() == {"package", "integer", "spiky", "plant", "pack"}
+    assert all(feasible >= 50 and wide >= 10 for feasible, wide in seen.values()), seen

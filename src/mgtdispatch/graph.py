@@ -100,19 +100,19 @@ class DispatchGraph:
         """(templates, head offsets) as (max out-degree, n_states) slot matrices.
 
         Column x lists x's templates in the walk's tie-break order (duration,
-        head, template), padded with n_templates; the head offset of a
-        template is dur * n_states + head (0 in pad slots), the flat index of
+        head, template), then repeats its first one in the pad slots; the
+        head offset of a template is dur * n_states + head, the flat index of
         its head node relative to layer 0.
         """
         # lexsort is stable, so equal (tail, duration, head) keep template order
         order = np.lexsort((self.head, self.dur, self.tail))
         tails = self.tail[order]
         counts = np.bincount(self.tail, minlength=self.n_states)
-        rank = np.arange(self.n_templates) - (np.cumsum(counts) - counts)[tails]
-        tmpl = np.full((counts.max(), self.n_states), self.n_templates, dtype=np.intp)
-        tmpl[rank, tails] = order
-        offsets = np.append(self.dur.astype(np.intp) * self.n_states + self.head, 0)
-        return tmpl, offsets[tmpl]
+        first = np.cumsum(counts) - counts
+        # a repeat adds its column's slot-0 candidate again, which moves no min and no walk
+        tmpl = np.tile(order[first], (counts.max(), 1))
+        tmpl[np.arange(self.n_templates) - first[tails], tails] = order
+        return tmpl, (self.dur.astype(np.intp) * self.n_states + self.head)[tmpl]
 
     def template_exists_at(self, k: int, t: int) -> bool:
         return 0 <= t and t + int(self.dur[k]) <= self.horizon - 1
@@ -159,6 +159,8 @@ def build_graph(model: TurbineModel, horizon: int, initial="any", final="any") -
     """Compile the time-expanded graph for a model over `horizon` layers.
 
     initial/final are "any", a state name, or an iterable of state names.
+    A duration longer than the horizon is clamped to `horizon`: such a
+    template has no edge in any layer, so it never runs.
     Only the per-template arrays are built here. Nodes no path can touch
     are kept; the kernels' backward values are +inf at every node that
     cannot reach q.
@@ -175,7 +177,7 @@ def build_graph(model: TurbineModel, horizon: int, initial="any", final="any") -
     k = len(model.transitions)
     tail = np.fromiter((idx[tr.from_state] for tr in model.transitions), dtype=np.int32, count=k)
     head = np.fromiter((idx[tr.to_state] for tr in model.transitions), dtype=np.int32, count=k)
-    dur = np.fromiter((tr.duration_steps for tr in model.transitions), dtype=np.int32, count=k)
+    dur = np.fromiter((min(tr.duration_steps, horizon) for tr in model.transitions), dtype=np.int32, count=k)
     power = np.fromiter((tr.power_kw for tr in model.transitions), dtype=np.float64, count=k)
     heat = np.fromiter((tr.heat_kw for tr in model.transitions), dtype=np.float64, count=k)
     op_cost = np.fromiter((tr.op_cost for tr in model.transitions), dtype=np.float64, count=k)
@@ -230,7 +232,8 @@ def _fold_layers(graph: DispatchGraph, level_values, fold, seed: np.ndarray, abs
     the output stays a few MB.
     """
     n = graph.n_priced_steps
-    span = graph.duration_groups[-1][0]
+    # a template longer than the n priced steps has no edge, so it sets no look-ahead
+    span = max((d for d, *_ in graph.duration_groups if d <= n), default=1)
     rows = max(1, _BLOCK_CELLS // graph.n_templates)
     out = np.empty((graph.horizon, graph.n_templates), dtype=np.float64)
     out[n] = absent
@@ -362,15 +365,18 @@ def _spike_increments(tariff: Tariff, mset: MixedSet, p_x: np.ndarray, h_x: np.n
 
     0 on steps that admit no such spike (delta = +inf adds a spike of
     exactly 0), and where a cost is infinite (a forbidden export, which puts
-    +inf on the edge's bias).
+    +inf on the edge's bias and gives a NaN or -inf gain). A +inf gain
+    arises only from overflow, and is refused.
     """
     t1 = t0 + p_x.shape[-1]
     gains = []
     for cost_block, x, delta in ((tariff.power_cost_block, p_x, mset.delta_p),
                                  (tariff.heat_cost_block, h_x, mset.delta_h)):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             g = cost_block(x + mset.mu1 / delta[t0:t1], t0)
             g -= cost_block(x, t0)
+        if (g == INF).any():
+            raise ValueError(f"spike budget mu1 = {mset.mu1!r} overflows the cost of a spike")
         g[~np.isfinite(g)] = 0.0
         gains.append(g)
     return tuple(gains)

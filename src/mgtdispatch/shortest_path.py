@@ -4,16 +4,17 @@ One kernel (_solve) serves both public solves: a backward DP over the
 edges whose spike is at most a budget alpha (every edge in a plain
 solve), then a forward walk (_walk). Edge costs are (horizon, templates)
 arrays in template order. Each layer gathers its row into the graph's
-tail_slots matrix (a column per state, +inf in pad slots) and takes one
-min down the columns. Weights are finite or +inf. Value arrays carry
-max-duration +inf rows past the horizon, so head indices need no clamp:
-template k has no edge at layer t when t + dur[k] > horizon - 1, and
-that slot reads +inf through its head whatever its weight. The walk
-starts at the initial state with the smallest (value, index) and scans
-the state's slot column, which lists its templates by (duration, head,
-template). It steps to the first usable successor whose candidate value
-reproduces the stored optimum exactly; a head past the horizon reads
-+inf and never matches.
+tail_slots matrix (a column per state, whose pad slots repeat its first
+template) and takes one min down the columns. Weights are finite or
++inf. Value arrays carry +inf rows past the horizon, one per step of the
+longest duration (at most one horizon, where build_graph clamps it), so
+head indices need no clamp: template k has no edge at layer t when
+t + dur[k] > horizon - 1, and that slot reads +inf through its head
+whatever its weight. The walk starts at the initial state with the
+smallest (value, index) and scans the state's slot column, which lists
+its templates by (duration, head, template). It steps to the first
+usable successor whose candidate value reproduces the stored optimum
+exactly; a head past the horizon reads +inf and never matches.
 So the returned path is the lexicographically smallest node sequence
 among the optimal ones, its right-fold cost equals the DP value bit for
 bit, and its max spike is read off the edges it takes.
@@ -60,7 +61,7 @@ def _walk(graph: DispatchGraph, b: np.ndarray, w: np.ndarray, spike: np.ndarray,
     if total == INF:
         return _INFEASIBLE
 
-    s, n = graph.n_states, graph.n_templates
+    s = graph.n_states
     tmpl, offsets = graph.tail_slots
     b_flat = b.reshape(-1)
     t, aux_max = 0, 0.0
@@ -71,7 +72,7 @@ def _walk(graph: DispatchGraph, b: np.ndarray, w: np.ndarray, spike: np.ndarray,
         base = t * s
         for k, j in zip(tmpl[:, x].tolist(), offsets[:, x].tolist()):
             j += base
-            if k < n and not spike[t, k] > alpha and w[t, k] + b_flat[j] == target:
+            if not spike[t, k] > alpha and w[t, k] + b_flat[j] == target:
                 break
         else:
             raise RuntimeError(f"walk lost the optimum at layer {t}, state {x}")
@@ -96,7 +97,7 @@ def _solve(graph: DispatchGraph, w: np.ndarray, spike: np.ndarray | None, alpha:
     b_flat = b.reshape(-1)
     for t in range(last - 1, -1, -1):
         wrow = np.where(spike[t] > alpha, INF, w[t]) if restricted else w[t]
-        cand = np.append(wrow, INF)[tmpl]
+        cand = wrow[tmpl]
         cand += b_flat[t * s:][heads]
         b[t] = cand.min(axis=0)
     # returning frees the last layer's candidates before a walk; held, they cost 16 MB RSS (bench plant, T = 1440)

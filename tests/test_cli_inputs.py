@@ -293,6 +293,34 @@ def test_huge_additive_grid_exits_1(small_pack, capsys, command, grid):
     assert "budget rungs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", [2**31, 10**30])
+def test_transition_longer_than_the_day_never_runs(small_pack, tmp_path, capsys, duration):
+    # such a transition has no edge in any layer, so the plan is the one without it
+    pack = tmp_path / "pack"
+    shutil.copytree(small_pack, pack)
+    w = pack / "winter"
+
+    def plan() -> bytes:
+        out = tmp_path / "plan.csv"
+        assert main(["solve", "--model", str(pack / "model.json"), "--tariff", str(w / "tariff.json"),
+                     "--history", str(w / "history"), "--algo", "box", "--out-schedule", str(out)]) == 0
+        return out.read_bytes()
+
+    before = plan()
+    _edit_json(pack / "model.json", lambda model: model["transitions"].append(
+        dict(model["transitions"][0], control="linger", duration_steps=duration)))
+    assert plan() == before
+    capsys.readouterr()
+
+
+def test_spike_budget_that_overflows_exits_1(capsys):
+    w = PACK / "winter"
+    argv = ["solve", "--model", str(PACK / "model.json"), "--tariff", str(w / "tariff.json"),
+            "--history", str(w / "history"), "--algo", "mixed-exact", "--alpha2", "1e308"]
+    assert main(argv) == 1
+    assert "mu1 = 1e+308 overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step", ["0", "-15", "nan", "inf"])
 def test_bench_refuses_bad_step(capsys, step):
     assert main(["bench", "--horizons", "6", "--n-speeds", "2", "--n-valves", "2", "--step-seconds", step]) == 1

@@ -316,6 +316,23 @@ def test_scenario_weights_peak_memory(bench_plant_361):
     assert peak <= 1.25 * w.nbytes + 4e6, f"peak {peak / 1e6:.1f} MB for a {w.nbytes / 1e6:.1f} MB array"
 
 
+def test_transition_longer_than_the_day_costs_nothing(bench_plant_361):
+    # a 3,610-step transition never runs on a 361-layer day: its duration is
+    # clamped at the horizon, so neither the value array nor the pricing
+    # look-ahead grows with it
+    g, fc, tariffs = bench_plant_361
+    model = g.model
+    linger = dataclasses.replace(model.transitions[0], control="linger", duration_steps=3610)
+    g_long = build_graph(dataclasses.replace(model, transitions=model.transitions + (linger,)), g.horizon)
+    assert g_long.dur[-1] == g.horizon and g_long.n_edges == g.n_edges
+    demand = DemandProfile(fc.mu_power, fc.mu_heat)
+    want = solve_nominal(g, demand, tariffs[0.05])
+    got, peak = _peak_bytes(solve_nominal, g_long, demand, tariffs[0.05])
+    assert (got.worst_case_cost, got.path.edges) == (want.worst_case_cost, want.path.edges)
+    nbytes = g_long.horizon * g_long.n_templates * 8
+    assert peak <= 1.25 * nbytes + 4e6, f"peak {peak / 1e6:.1f} MB for a {nbytes / 1e6:.1f} MB array"
+
+
 def test_forbidden_sell_box_prices_lower_corner_in_the_same_pass(bench_plant_361):
     # the lower corner marks forced exports in the level tables, so no
     # second weight array or mask is built
@@ -423,6 +440,18 @@ def test_spike_sizes_scale_with_sigma():
             assert mset.mu1 / mset.delta_p[t] == pytest.approx(3.0 * fc.sigma_power[t])
         else:
             assert np.isinf(mset.delta_p[t])
+
+
+def test_spike_budget_that_overflows_is_refused():
+    # a +inf spike gain comes only from overflow; pricing it as no spike
+    # turned the worst case from 2e307 at mu1 = 1e306 into 168.0 at 1e307
+    g = build_graph(cooldown_example(p=10, h=20), 5)
+    tariff = flat_tariff(4, 15.0, 10.0, None, 0.1)
+    fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [0.0] * 4)
+    sol = solve_mixed_exact(g, mixed_set(fc, 0.0, 1e306), tariff)
+    assert (sol.worst_case_cost, sol.worst_scenario) == (2e307, "power-spike@0")
+    with pytest.raises(ValueError, match="mu1 = 1e\\+307"):
+        solve_mixed_exact(g, mixed_set(fc, 0.0, 1e307), tariff)
 
 
 def test_set_weights_refuse_falling_costs(tiny_graph):

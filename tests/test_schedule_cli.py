@@ -341,3 +341,15 @@ def test_cli_compare_pack(tmp_path, capsys):
     assert all(a["realized_cost"] >= bench - 1e-12 for a in algos)
     out = capsys.readouterr().out
     assert "winter" in out
+
+
+def test_committed_pack_is_its_generator_output(tmp_path):
+    # data/four_season is what build_four_season_pack writes with its defaults, byte for byte
+    build_four_season_pack(str(tmp_path))
+
+    def files(root: Path) -> list[Path]:
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(tmp_path) == files(PACK)
+    for rel in files(PACK):
+        assert (tmp_path / rel).read_bytes() == (PACK / rel).read_bytes(), rel

@@ -321,6 +321,22 @@ def test_kernels_match_enumeration_out_of_tail_order():
     assert n_feasible >= 150
 
 
+def test_slot_columns_list_their_templates_then_repeat_the_first():
+    # every slot holds a real template, so the kernels need no pad sentinel:
+    # a repeat of slot 0 adds the same candidate again and sits after every
+    # real slot in the walk
+    graphs = [build_graph(_skewed_model(np.random.default_rng(seed)), 5) for seed in range(0, 40, 2)]
+    graphs.append(build_graph(synth_c65_like(30, 50), 361))
+    for g in graphs:
+        tmpl, offsets = g.tail_slots
+        degree = np.bincount(g.tail, minlength=g.n_states)
+        assert tmpl.shape == (degree.max(), g.n_states) and degree.min() < degree.max()
+        for x in range(g.n_states):
+            own = sorted(np.nonzero(g.tail == x)[0].tolist(), key=lambda k: (g.dur[k], g.head[k], k))
+            assert tmpl[:, x].tolist() == own + own[:1] * (len(tmpl) - len(own))
+        assert np.array_equal(offsets, g.dur[tmpl].astype(np.intp) * g.n_states + g.head[tmpl])
+
+
 def _drawn_costs(rng, bias, spike):
     """A random graph with edge costs drawn by bias(rng, shape) and spike(rng, shape); absent edges +inf and 0."""
     inst = random_instance(rng, max_horizon=7, max_states=4)

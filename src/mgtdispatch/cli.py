@@ -30,7 +30,7 @@ from .demand import (
     mixed_set,
     worst_corner,
 )
-from .graph import build_graph
+from .graph import _check_tariff, build_graph
 from .model import load_model, validate_model
 from .packs import _repeats, load_pack_manifest
 from .schedule import DEFAULT_WIDTHS, ComparisonReport, build_schedule, compare_day, save_schedule
@@ -266,19 +266,22 @@ def _cmd_validate(args) -> int:
         notes, falls = check_convexity(tariff), check_monotone(tariff)
         if falls:
             print(f"tariff: ok, but cost falls as demand rises ({len(falls)} step(s), first {falls[0]}); "
-                  "box and mixed solvers will refuse it")
+                  "box and mixed solvers will refuse a day that prices one of them")
         if notes:
             print(f"tariff: ok, but non-convex ({len(notes)} step(s)); "
-                  "mixed solvers will refuse it")
+                  "mixed solvers will refuse a day that prices one of them")
         if not (falls or notes):
             print(f"tariff: ok ({tariff.horizon_steps} steps, convex)")
 
+    n_steps = []  # solve's tariff checks need the longest given day
     if args.demand:
         demand = load_demand(args.demand)
         print(f"demand: ok ({demand.n_steps} steps)")
+        n_steps.append(demand.n_steps)
 
     if args.history:
         days = load_history(args.history)
+        n_steps.append(days[0].n_steps)
         try:
             forecast_from_history(days)
         except ValueError as exc:
@@ -286,6 +289,9 @@ def _cmd_validate(args) -> int:
             print(f"history: {exc}")
         else:
             print(f"history: ok ({len(days)} days of {days[0].n_steps} steps)")
+
+    if args.tariff and n_steps and not problems:
+        _check_tariff(build_graph(model, max(n_steps) + 1), tariff)
 
     return 1 if failed else 0
 

@@ -20,7 +20,7 @@ span. A fixed path is priced by the same block evaluators on its own steps
 (_path_steps), so paths, worst cases and schedules have one pricing route;
 tests/oracles.py keeps the per-edge scalar twins as oracles. Edge weights
 and plan worst cases over a set pass one gate, _set_corners, for its
-tariff rules and its lower corner.
+tariff rules on the priced steps and its lower corner.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .demand import BoxSet, DemandProfile, MixedSet
 from .model import TurbineModel, validate_model
-from .tariff import Tariff, check_convexity, require_monotone
+from .tariff import Tariff, _bend, _fall, _flag_steps
 
 INF = float("inf")
 
@@ -303,22 +303,21 @@ def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray
 def _set_corners(graph: DispatchGraph, uset, tariff: Tariff) -> DemandProfile | None:
     """Refuse a tariff a set's corner pricing does not hold for; the lower corner when it binds.
 
-    Costs that fall as demand rises move the worst case off the upper
-    corner, and a mixed set's bias/spike decomposition also needs convex
-    costs. Returns the set's lower corner when some priced step forbids
-    selling (prices a negative exchange at +inf), else None.
+    Reads the n priced steps only. Costs that fall as demand rises move the
+    worst case off the upper corner, and a mixed set's bias/spike
+    decomposition also needs convex costs. Returns the set's lower corner
+    when a step forbids selling (prices a negative exchange at +inf).
     """
-    require_monotone(tariff)
-    if isinstance(uset, MixedSet):
-        bends = check_convexity(tariff)
-        if bends:
-            raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
     n = graph.n_priced_steps
-    sell_forbidden = any(functions[i].neg_slope is None
-                         for functions, index in ((tariff.power_functions, tariff.power_index),
-                                                  (tariff.heat_functions, tariff.heat_index))
-                         for i in np.unique(index[:n]))
-    return uset.lower() if sell_forbidden else None
+    falls = _flag_steps(tariff, _fall, n)
+    if falls:
+        raise ValueError(f"box and mixed solvers need costs that never fall as demand rises; "
+                         f"{len(falls)} step(s) do, first {falls[0]}")
+    bends = _flag_steps(tariff, _bend, n) if isinstance(uset, MixedSet) else []
+    if bends:
+        raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
+    forbids = _flag_steps(tariff, lambda fn: "forbids selling" if fn.neg_slope is None else None, n)
+    return uset.lower() if forbids else None
 
 
 @dataclass(frozen=True, eq=False)

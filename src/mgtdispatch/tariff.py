@@ -146,14 +146,27 @@ def _eval_block(x: np.ndarray, functions, index: np.ndarray, t0: int) -> np.ndar
     return out
 
 
-def _flag_steps(tariff: Tariff, flag) -> list[str]:
-    """One line per step whose cost function flag(fn) describes (None when fine), power steps first."""
+def _flag_steps(tariff: Tariff, flag, n: int | None = None) -> list[str]:
+    """One line per step t < n (every step by default) whose cost function flag(fn) describes (None when fine)."""
     report: list[str] = []
     for label, functions, index in (("power", tariff.power_functions, tariff.power_index),
                                     ("heat", tariff.heat_functions, tariff.heat_index)):
         notes = [flag(fn) for fn in functions]
-        report += [f"t={t}: {label} cost {notes[fi]}" for t, fi in enumerate(index.tolist()) if notes[fi]]
+        report += [f"t={t}: {label} cost {notes[fi]}" for t, fi in enumerate(index[:n].tolist()) if notes[fi]]
     return report
+
+
+def _bend(fn: PiecewiseLinearCost) -> str | None:
+    seq = fn.slope_sequence()
+    for a, b in zip(seq, seq[1:]):
+        if b < a:
+            return f"is non-convex (slope drops from {a} to {b})"
+    return None
+
+
+def _fall(fn: PiecewiseLinearCost) -> str | None:
+    low = min(fn.slope_sequence())
+    return f"falls as demand rises (slope {low})" if low < 0.0 else None
 
 
 def check_convexity(tariff: Tariff) -> list[str]:
@@ -163,37 +176,16 @@ def check_convexity(tariff: Tariff) -> list[str]:
     slopes in order) decreases anywhere; selling above the purchase rate is
     the common offender.
     """
-
-    def bend(fn: PiecewiseLinearCost) -> str | None:
-        seq = fn.slope_sequence()
-        for a, b in zip(seq, seq[1:]):
-            if b < a:
-                return f"is non-convex (slope drops from {a} to {b})"
-        return None
-
-    return _flag_steps(tariff, bend)
+    return _flag_steps(tariff, _bend)
 
 
 def check_monotone(tariff: Tariff) -> list[str]:
     """Report every step whose cost falls as demand rises (any negative slope).
 
     The box and mixed solvers take the upper demand corner as the worst
-    case; a flagged step can make that corner cheaper than another.
+    case; a flagged priced step can make that corner cheaper than another.
     """
-
-    def fall(fn: PiecewiseLinearCost) -> str | None:
-        low = min(fn.slope_sequence())
-        return f"falls as demand rises (slope {low})" if low < 0.0 else None
-
-    return _flag_steps(tariff, fall)
-
-
-def require_monotone(tariff: Tariff) -> None:
-    """Raise ValueError when check_monotone flags any step."""
-    falls = check_monotone(tariff)
-    if falls:
-        raise ValueError(f"box and mixed solvers need costs that never fall as demand rises; "
-                         f"{len(falls)} step(s) do, first {falls[0]}")
+    return _flag_steps(tariff, _fall)
 
 
 @dataclass(frozen=True)
@@ -287,6 +279,8 @@ def tariff_from_dict(data: dict) -> Tariff:
     try:
         dt = _number(data["step_seconds"], "step_seconds")
         horizon = _int_field(data["horizon_steps"], "horizon_steps")
+        if horizon < 0:
+            raise ValueError(f"horizon_steps must be >= 0, got {horizon}")
         per_step = dt / 3600.0
         functions: list[PiecewiseLinearCost] = []
         index = np.full(horizon, -1, dtype=np.int32)

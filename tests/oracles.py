@@ -38,7 +38,7 @@ from mgtdispatch import (
 )
 from mgtdispatch.graph import _check_tariff, _demand_steps
 from mgtdispatch.solvers import _infeasible, _worstcase_parts
-from mgtdispatch.tariff import require_monotone
+from mgtdispatch.tariff import check_monotone
 
 INF = float("inf")
 
@@ -170,10 +170,18 @@ def lower_corner(uset) -> DemandProfile:
     return DemandProfile(np.maximum(uset.p0 - uset.dp, 0.0), np.maximum(uset.h0 - uset.dh, 0.0))
 
 
-def check_mixed_tariff(tariff) -> None:
-    """Refuse costs that fall as demand rises, then non-convex costs, as mixed-set pricing must."""
-    require_monotone(tariff)
-    bends = check_convexity(tariff)
+def _priced(report: list[str], n: int) -> list[str]:
+    """The lines of a whole-tariff report ("t=<step>: ...") that name one of the n priced steps."""
+    return [line for line in report if int(line[2:line.index(":")]) < n]
+
+
+def check_mixed_tariff(tariff, n: int) -> None:
+    """Refuse costs that fall as demand rises, then non-convex costs, on the n priced steps, as mixed-set pricing must."""
+    falls = _priced(check_monotone(tariff), n)
+    if falls:
+        raise ValueError(f"box and mixed solvers need costs that never fall as demand rises; "
+                         f"{len(falls)} step(s) do, first {falls[0]}")
+    bends = _priced(check_convexity(tariff), n)
     if bends:
         raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
 
@@ -229,7 +237,7 @@ def edge_bias_spike(graph, edge: Edge, mset, tariff) -> tuple[float, float]:
     step, gives (inf, 0). Prices are finite, so only a forbidden export
     prices the lower corner at +inf.
     """
-    check_mixed_tariff(tariff)
+    check_mixed_tariff(tariff, graph.n_priced_steps)
     bias = bias_profile(mset)
     w_bias = edge_weight(graph, edge, bias, tariff)
     if w_bias == INF or edge_weight(graph, edge, lower_corner(mset), tariff) == INF:

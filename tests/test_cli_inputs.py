@@ -342,3 +342,96 @@ def test_entry_point_exit_status(tmp_path):
                   "--tariff", str(PACK / "winter" / "tariff.json"), "--demand", "nothing.csv")
     assert missing.returncode == 1
     assert missing.stderr.startswith("error:") and "Traceback" not in missing.stderr
+
+
+
+def _long_tariff(pack: Path, path: Path, step: int, **odd) -> Path:
+    """The pack's winter tariff stretched to 24 steps, with `odd` prices on `step` alone."""
+    data = json.loads((pack / "winter" / "tariff.json").read_text())
+    row = data["power"][0]
+    data.update(horizon_steps=24, power=[dict(row, from_step=0, to_step=step),
+                                         dict(row, from_step=step, to_step=step + 1, **odd),
+                                         dict(row, from_step=step + 1, to_step=24)])
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("algo, flags", [("box", []), ("mixed-exact", []), ("mixed-add", ["--grid-n", "4"]),
+                                         ("mixed-mul", ["--mu", "0.5"])])
+def test_set_solves_check_tariff_rules_on_the_priced_steps(small_pack, tmp_path, capsys, algo, flags):
+    # the 12-step day prices steps 0..11 of a 24-step tariff and no others
+    w = small_pack / "winter"
+    out = tmp_path / "report.json"
+
+    def solve(tariff: Path) -> int:
+        return main(["solve", "--model", str(small_pack / "model.json"), "--tariff", str(tariff),
+                     "--history", str(w / "history"), "--algo", algo, *flags, "--out-report", str(out)])
+
+    def report() -> dict:
+        data = json.loads(out.read_text())
+        data.pop("runtime_s")
+        return data
+
+    assert solve(w / "tariff.json") == 0
+    expected = report()
+    falls, bends = {"buy_per_kwh": -0.05}, {"sell_per_kwh": 0.3}
+    for odd in (falls, bends):
+        assert solve(_long_tariff(small_pack, tmp_path / "late.json", 20, **odd)) == 0
+        assert report() == expected
+    capsys.readouterr()
+    assert solve(_long_tariff(small_pack, tmp_path / "priced.json", 11, **falls)) == 1
+    assert "never fall as demand rises; 1 step(s) do, first t=11" in capsys.readouterr().err
+    assert solve(_long_tariff(small_pack, tmp_path / "priced.json", 11, **bends)) == (0 if algo == "box" else 1)
+    if algo != "box":
+        assert "convex tariff; 1 step(s) are not, first t=11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(step_seconds=60.0), "tariff step (60.0s) differs from model step (900.0s)"),
+    (lambda d: d.update(horizon_steps=8, power=[dict(d["power"][0], to_step=8)]),
+     "tariff covers 8 steps but the graph prices 12"),
+], ids=["step", "coverage"])
+@pytest.mark.parametrize("day", ["--demand", "--history"])
+def test_validate_checks_the_tariff_against_the_day(small_pack, tmp_path, capsys, edit, message, day):
+    # solve refuses these tariffs for a 12-step day, so validate does too once it is given a day
+    w = small_pack / "winter"
+    tariff = tmp_path / "tariff.json"
+    tariff.write_text((w / "tariff.json").read_text())
+    _edit_json(tariff, edit)
+    files = ["--model", str(small_pack / "model.json"), "--tariff", str(tariff)]
+    assert main(["validate", *files]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["validate", *files, day, str(w / ("realized.csv" if day == "--demand" else "history"))]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["solve", *files, "--demand", str(w / "realized.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_validate_refuses_a_negative_tariff_horizon(small_pack, tmp_path, capsys):
+    tariff = tmp_path / "tariff.json"
+    tariff.write_text((small_pack / "winter" / "tariff.json").read_text())
+    _edit_json(tariff, lambda d: d.update(horizon_steps=-3))
+    assert main(["validate", "--model", str(small_pack / "model.json"), "--tariff", str(tariff)]) == 1
+    assert "error: horizon_steps must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_compare_without_pack_names_each_missing_flag(small_pack, capsys):
+    w = small_pack / "winter"
+    given = {"model": str(small_pack / "model.json"), "tariff": str(w / "tariff.json"),
+             "history": str(w / "history"), "realized": str(w / "realized.csv")}
+    for missing in (["tariff"], ["model", "realized"], list(given)):
+        argv = [a for k, v in given.items() if k not in missing for a in (f"--{k}", v)]
+        assert main(["compare", *argv, "--mixed", "none"]) == 1
+        captured = capsys.readouterr()
+        assert f"(missing: {', '.join('--' + m for m in missing)})" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("horizons, message", [("abc", "cannot parse --horizons 'abc'"),
+                                               ("1", "--horizons needs integers >= 2"),
+                                               ("6,1", "--horizons needs integers >= 2")])
+def test_bench_refuses_bad_horizons(capsys, horizons, message):
+    assert main(["bench", "--horizons", horizons, "--n-speeds", "2", "--n-valves", "2"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -420,6 +420,11 @@ def test_mixed_costs_reject_nonconvex_tariff(tiny_graph):
             price(tiny_graph, mset, tariff)
     # the box reduction needs only costs that never fall
     assert np.isfinite(scenario_weights(tiny_graph, box_set(fc, 1.0), tariff)).any()
+    # past the 4 priced steps the bend is never evaluated: gate and oracle both accept it
+    good_fn = PiecewiseLinearCost(None, (0.0,), (0.5,))
+    longer = Tariff(15.0, 6, (good_fn, bad_fn), np.array([0, 0, 0, 0, 1, 1], dtype=np.int32),
+                    (heat,), np.zeros(6, dtype=np.int32))
+    _check_bias_spike(tiny_graph, mset, longer)
 
 
 def test_dump_graph_row_count(tiny_graph, tmp_path):

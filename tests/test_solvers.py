@@ -10,6 +10,7 @@ from mgtdispatch import (
     DemandProfile,
     Edge,
     Forecast,
+    MixedSet,
     PiecewiseLinearCost,
     Tariff,
     Transition,
@@ -378,6 +379,40 @@ def test_robust_solvers_refuse_falling_costs(smoke):
                       lambda *a: solve_mixed_multiplicative(*a, mu=0.5)):
             with pytest.raises(ValueError, match="never fall"):
                 solve(g, mset, tariff)
+
+
+def test_set_pricing_checks_tariff_rules_on_priced_steps_only(smoke):
+    # the smoke graph prices steps 0..3; a falling or bending price past them
+    # is never evaluated, so the solves equal those on the tariff cut to 4 steps
+    g, _, fc = smoke
+    ok = PiecewiseLinearCost(None, (0.0,), (0.5,))
+    falls = PiecewiseLinearCost(None, (0.0, 10.0), (1.0, -0.5))
+    bends = PiecewiseLinearCost(None, (0.0, 10.0), (1.0, 0.2))
+    heat = (PiecewiseLinearCost(0.0, (0.0,), (0.1,)),)
+
+    def tariff(index):
+        return Tariff(15.0, len(index), (ok, falls, bends), np.array(index, dtype=np.int32),
+                      heat, np.zeros(len(index), dtype=np.int32))
+
+    bset, mset = box_set(fc, 1.0), mixed_set(fc, 1.0, 2.0)
+    solves = [(solve_box, bset), (solve_mixed_exact, mset),
+              (lambda *a: solve_mixed_additive(*a, grid_n=3), mset),
+              (lambda *a: solve_mixed_multiplicative(*a, mu=0.5), mset)]
+    cut = tariff([0] * 4)
+    path = solve_nominal(g, fc.mean_profile(), cut).path
+    solves += [(lambda *a: path_worstcase_cost(a[0], path, *a[1:]), uset) for uset in (bset, mset)]
+    for late in ([0, 0, 0, 0, 1, 2, 0, 0], [0, 0, 0, 0, 2, 1]):
+        for solve, uset in solves:
+            assert repr(solve(g, uset, tariff(late))) == repr(solve(g, uset, cut))
+    # the same prices on the last priced step are refused with the gate's messages
+    for solve, uset in solves:
+        with pytest.raises(ValueError, match="never fall"):
+            solve(g, uset, tariff([0, 0, 0, 1, 0]))
+        if isinstance(uset, MixedSet):
+            with pytest.raises(ValueError, match=r"convex tariff; 1 step\(s\) are not, first t=3"):
+                solve(g, uset, tariff([0, 0, 0, 2, 0]))
+        else:
+            solve(g, uset, tariff([0, 0, 0, 2, 0]))  # the box reduction needs no convexity
 
 
 def test_box_worst_case_refuses_falling_costs(smoke):

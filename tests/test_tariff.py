@@ -15,7 +15,7 @@ from mgtdispatch import (
     tariff_to_dict,
     tou_tariff,
 )
-from mgtdispatch.tariff import check_monotone, require_monotone
+from mgtdispatch.tariff import check_monotone
 from instances import random_convex_fn
 
 INF = float("inf")
@@ -70,9 +70,6 @@ def test_monotone_check_flags_negative_slopes():
     assert report == [f"t={t}: power cost falls as demand rises (slope -0.2)" for t in range(3)]
     neg_buy = flat_tariff(3, 15.0, -5.0, None, 0.1)
     assert check_convexity(neg_buy) == [] and len(check_monotone(neg_buy)) == 3
-    with pytest.raises(ValueError, match="never fall"):
-        require_monotone(neg_buy)
-    require_monotone(flat_tariff(3, 15.0, 0.5, 0.0, 0.1))
 
 
 def test_tou_peak_window():

@@ -4,11 +4,11 @@ Every distinct spike cost is a candidate budget alpha. A budget's solve is a
 spike-capped shortest path, scored as path cost + worst admitted spike. This
 prints that curve for a small plant by solving every budget, then compares
 the exact optimum with the grid approximations and their guarantees. The
-solvers themselves walk the budgets down in a chain: a solve at alpha whose
-path has max spike S settles every budget in [S, alpha], the next solve is
-just below S, and the chain stops once no smaller budget can beat the best
-score so far, so each reports how many of its candidate budgets it actually
-solved.
+solvers themselves walk the budgets down in a chain: after a solve at alpha
+whose path has max spike S they solve again just below S, keeping the new
+path while its cost ties, so the settled path covers every budget in
+[S, alpha]; the chain stops once no smaller budget can beat the best score
+so far, and each solver reports how many restricted solves it ran.
 """
 
 import numpy as np
@@ -49,7 +49,7 @@ for a in thresholds:
 
 exact = solve_mixed_exact(graph, mset, tariff)
 print(f"\nexact optimum {exact.worst_case_cost:.4f} at alpha={exact.threshold:.3f} "
-      f"(solved {exact.thresholds_evaluated} of {exact.thresholds_candidates} candidate budgets)")
+      f"({exact.thresholds_evaluated} restricted solves for {exact.thresholds_candidates} candidate budgets)")
 print(f"worst scenario: {exact.worst_scenario}")
 print("(on a plant this small every grid below lands on the same optimum;")
 print(" the eps / mu guarantees are what the approximations promise at scale)")
@@ -57,11 +57,11 @@ print(" the eps / mu guarantees are what the approximations promise at scale)")
 for eps in (0.5, 0.1):
     r = solve_mixed_additive(graph, mset, tariff, epsilon=eps)
     print(f"additive eps={eps}: {r.worst_case_cost:.4f} (guarantee <= exact + {eps}, "
-          f"solved {r.thresholds_evaluated} of {r.thresholds_candidates} candidate budgets)")
+          f"{r.thresholds_evaluated} restricted solves for {r.thresholds_candidates} candidate budgets)")
 r = solve_mixed_additive(graph, mset, tariff, grid_n=5)
 print(f"additive grid_n=5: {r.worst_case_cost:.4f} "
-      f"(solved {r.thresholds_evaluated} of {r.thresholds_candidates} candidate budgets)")
+      f"({r.thresholds_evaluated} restricted solves for {r.thresholds_candidates} candidate budgets)")
 for mu in (0.5, 0.1):
     r = solve_mixed_multiplicative(graph, mset, tariff, mu=mu)
     print(f"multiplicative mu={mu}: {r.worst_case_cost:.4f} (guarantee <= (1+{mu}) * exact, "
-          f"solved {r.thresholds_evaluated} of {r.thresholds_candidates} candidate budgets)")
+          f"{r.thresholds_evaluated} restricted solves for {r.thresholds_candidates} candidate budgets)")

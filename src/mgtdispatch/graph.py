@@ -316,7 +316,10 @@ def _set_corners(graph: DispatchGraph, uset, tariff: Tariff) -> DemandProfile | 
     bends = _flag_steps(tariff, _bend, n) if isinstance(uset, MixedSet) else []
     if bends:
         raise ValueError(f"mixed-set costs need a convex tariff; {len(bends)} step(s) are not, first {bends[0]}")
-    forbids = _flag_steps(tariff, lambda fn: "forbids selling" if fn.neg_slope is None else None, n)
+    forbids = any(functions[i].neg_slope is None
+                  for functions, index in ((tariff.power_functions, tariff.power_index),
+                                           (tariff.heat_functions, tariff.heat_index))
+                  for i in np.unique(index[:n]).tolist())
     return uset.lower() if forbids else None
 
 

@@ -18,9 +18,6 @@ exactly; a head past the horizon reads +inf and never matches.
 So the returned path is the lexicographically smallest node sequence
 among the optimal ones, its right-fold cost equals the DP value bit for
 bit, and its max spike is read off the edges it takes.
-
-The restricted solve breaks bias ties by solving again below its path's
-max spike (Hansen's bicriterion method), so the DP keeps one objective.
 """
 
 from __future__ import annotations
@@ -111,24 +108,14 @@ def shortest_path_dag(graph: DispatchGraph, weights: np.ndarray) -> PathResult:
 
 
 def shortest_path_restricted(graph: DispatchGraph, costs: EdgeCosts, alpha: float) -> PathResult:
-    """Min bias-cost path using only edges with spike cost <= alpha.
+    """Min bias-cost path using only edges with spike cost <= alpha: one pass.
 
-    Ties on bias cost go to the smallest max spike along the path (aux_max),
-    then to the node sequence. While that max spike S is above 0, the kernel
-    solves again at the float below S, which drops every edge with spike
-    >= S, and keeps the new path only if its bias is bit for bit the same.
-    EdgeCosts guarantees w_spike >= 0, so S = 0 ends the loop.
+    Ties on bias cost go to the node sequence, as in shortest_path_dag;
+    aux_max reports the path's max spike. The budget sweep (solvers._sweep)
+    breaks bias ties by max spike.
     """
     alpha = float(alpha)
     if not alpha >= 0.0:
         raise ValueError(f"spike budget alpha must be >= 0, got {alpha!r}")
     w, spike = costs.w_bias, costs.w_spike
-    path = _walk(graph, _solve(graph, w, spike, alpha), w, spike, alpha)
-    while path.feasible and path.aux_max > 0.0:
-        below = float(np.nextafter(path.aux_max, -INF))
-        b = _solve(graph, w, spike, below)
-        # a pass that changed the bias is not walked
-        if b[0, graph.initial_mask].min() != path.total:
-            break
-        path = _walk(graph, b, w, spike, below)
-    return path
+    return _walk(graph, _solve(graph, w, spike, alpha), w, spike, alpha)

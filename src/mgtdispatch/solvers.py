@@ -20,13 +20,13 @@ alpha) wins. Sweeping every distinct edge spike value is exact; the additive
 and multiplicative variants thin the grid and give V* + eps and (1 + mu) * V*
 guarantees.
 
-The sweep (_sweep) walks down the grid in a chain: each solve settles every
-threshold from its path's max spike up, since a solve at any of them
-would return the same path, so the next solve is just below that, and
-the walk stops once no lower threshold can win. It returns what solving
-every threshold would, and never solves a threshold it has settled. A
-solution reports both counts: thresholds_candidates is the size of the
-grid, thresholds_evaluated the restricted solves run.
+The sweep (_sweep) walks down the grid in a chain of one-pass restricted
+solves and breaks bias ties itself, solving again below a path's max
+spike while the bias holds. A settled path covers every threshold from
+its max spike up, so the next solve is just below that, and the walk
+stops once no lower threshold can win. It returns what a tie-broken solve
+at every threshold would. thresholds_candidates is the size of the grid,
+thresholds_evaluated the restricted solves run, tie probes included.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class RobustSolution:
     worst_case_cost is the path's cost under its worst admissible demand and
     worst_scenario names that demand ("nominal", "box-corner", "bias-only",
     or "power-spike@t"/"heat-spike@t"). Sweep-based solvers also report how
-    many candidate budgets their grid held, how many of them they solved and
-    which budget won.
+    many candidate budgets their grid held, how many restricted solves they
+    ran and which budget won.
     """
 
     algorithm: str
@@ -176,16 +176,19 @@ def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
     """Best restricted solve by (score, max spike, alpha) over ascending thresholds.
 
     Returns ((key, path, alpha) or None when every threshold is infeasible,
-    restricted solves run). The result is the one a solve at every threshold
-    would give (tests/test_sweep.py keeps that loop as the oracle), but most
-    thresholds are never solved. The driver walks down from the top
-    threshold, using three facts:
+    restricted solves run). The result is the one a tie-broken solve at
+    every threshold would give (tests/test_sweep.py keeps that loop as the
+    oracle), but most thresholds are never solved. Bias ties go to the
+    smallest max spike S by Hansen's bicriterion method: solve again at the
+    float below S while the bias stays bit for bit the same (each such path
+    keys below the last), so the DP keeps one objective, and S = 0 ends the
+    ties. The driver walks down from the top threshold, using three facts:
 
     - a solve at a_i giving the path P with (B, S) returns P itself on
-      every threshold in [S, a_i]: P stays feasible there, fewer edges
-      never lower B, and S is the smallest budget that keeps B, so each of
-      those solves ends at P. The smallest threshold a_m >= S has the best
-      key of them, (B + S, S, a_m), so the next solve is at a_(m-1);
+      every threshold in [S, a_i]: P stays feasible there and fewer edges
+      never lower B. Once the probe below S changes the bias, the smallest
+      threshold a_m >= S has the best key of them, (B + S, S, a_m), and the
+      probe is the solve at a_(m-1) unless its max spike is above a_(m-1);
     - no lower threshold has a bias below B and spikes are never negative,
       so the walk stops once the incumbent key is below (B, 0, inf);
     - an infeasible solve makes every lower threshold infeasible.
@@ -193,20 +196,24 @@ def _sweep(graph: DispatchGraph, costs: EdgeCosts, thresholds: np.ndarray):
     So the winner's path is the one from the solve that settled its budget.
     """
     best = None
-    solves = 0
-    i = len(thresholds) - 1
-    while i >= 0:
-        res = shortest_path_restricted(graph, costs, float(thresholds[i]))
-        solves += 1
-        if not res.feasible:
-            break
+    res = shortest_path_restricted(graph, costs, float(thresholds[-1]))
+    solves = 1
+    while res.feasible:
         m = int(np.searchsorted(thresholds, res.aux_max))
         key = (res.total + res.aux_max, res.aux_max, float(thresholds[m]))
         if best is None or key < best[0]:
             best = (key, res, key[2])
-        if best[0] < (res.total, 0.0, INF):
+        if best[0] < (res.total, 0.0, INF) or res.aux_max == 0.0:
             break
-        i = m - 1
+        probe = shortest_path_restricted(graph, costs, float(np.nextafter(res.aux_max, -INF)))
+        solves += 1
+        if probe.total != res.total:
+            if m == 0 or not probe.feasible:
+                break
+            if probe.aux_max > thresholds[m - 1]:
+                probe = shortest_path_restricted(graph, costs, float(thresholds[m - 1]))
+                solves += 1
+        res = probe
     return best, solves
 
 

@@ -264,9 +264,9 @@ def tariff_to_dict(tariff: Tariff) -> dict:
                 "sell_per_kwh": "forbidden" if fn.neg_slope is None else fn.neg_slope * per_kwh,
             }
         )
-    hf = tariff.heat_functions[int(tariff.heat_index[0])]
-    if len(tariff.heat_functions) != 1 or len(hf.slopes) != 1:
+    if len(tariff.heat_functions) != 1 or len(tariff.heat_functions[0].slopes) != 1:
         raise ValueError("tariff files carry a single flat heat rate only")
+    hf = tariff.heat_functions[0]
     return {
         "step_seconds": tariff.step_seconds,
         "horizon_steps": tariff.horizon_steps,

@@ -4,10 +4,11 @@ Unlike reference.py, these call into mgtdispatch: brute_force_oracle
 enumerates every s->q path of a built graph and prices each with the
 solvers' own worst-case evaluator, so it checks the search (the
 decomposition, the sweep and the DP), not the pricing. full_sweep is the
-unpruned budget loop that solvers._sweep must reproduce,
-two_pass_restricted the restricted kernel's tie-break computed inside the
-DP, and bertsimas_sim_value the mixed optimum by a dual route that needs
-neither the restricted kernel nor the sweep.
+unpruned budget loop that solvers._sweep must reproduce, over
+tiebroken_restricted, a restricted solve whose bias ties go to the
+smallest max spike. two_pass_restricted computes that tie-break inside
+the DP, and bertsimas_sim_value the mixed optimum by a dual route that
+needs neither the restricted kernel nor the sweep.
 
 The scalar oracles price one edge step by step with
 PiecewiseLinearCost.value, in the block route's operation order:
@@ -107,11 +108,26 @@ def brute_force_oracle(graph, uset, tariff, limit: int = 200_000) -> RobustSolut
     return RobustSolution(algorithm, pr, cost, scenario)
 
 
+def tiebroken_restricted(graph, costs, alpha: float) -> PathResult:
+    """Min bias-cost path with spikes <= alpha, bias ties to the smallest max spike, then node order.
+
+    Solves again at the float below the path's max spike S, which drops
+    every edge with spike >= S, while the bias stays bit for bit the same.
+    """
+    path = shortest_path_restricted(graph, costs, alpha)
+    while path.feasible and path.aux_max > 0.0:
+        below = shortest_path_restricted(graph, costs, float(np.nextafter(path.aux_max, -INF)))
+        if below.total != path.total:
+            break
+        path = below
+    return path
+
+
 def full_sweep(graph, costs, thresholds):
-    """Restricted solve per threshold; best (key, path, alpha) or None."""
+    """Tie-broken restricted solve per threshold; best (key, path, alpha) or None."""
     best = None
     for alpha in thresholds:
-        res = shortest_path_restricted(graph, costs, float(alpha))
+        res = tiebroken_restricted(graph, costs, float(alpha))
         if not res.feasible:
             continue
         key = (res.total + res.aux_max, res.aux_max, float(alpha))
@@ -127,10 +143,10 @@ def two_pass_restricted(graph, costs, alpha: float) -> PathResult:
     <= alpha, and the second the min of max(spike, head's max spike) over
     the edges that reach it. The walk starts at the smallest (bias, max
     spike, index) and takes the first slot that keeps both. The package
-    kernel has one objective and re-solves below the path's max spike. It
-    returns this path bit for bit, except where a tie in bias hides from
-    the second pass behind rounding; there it finds the same bias with a
-    smaller max spike.
+    kernel has one objective, and the sweep re-solves below the path's max
+    spike. A one-budget sweep returns this path bit for bit, except where a
+    tie in bias hides from the second pass behind rounding; there it finds
+    the same bias with a smaller max spike.
     """
     w, spike = costs.w_bias, costs.w_spike
     last, s, n = graph.horizon - 1, graph.n_states, graph.n_templates

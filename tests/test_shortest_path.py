@@ -1,12 +1,19 @@
-"""DP solvers on the layered graph: plain and spike-restricted."""
+"""DP solvers on the layered graph: plain and spike-restricted.
+
+A restricted solve is one pass whose bias ties go by node order; the
+budget sweep breaks them by max spike. So the tie-break tests run a
+one-budget sweep (_tiebroken).
+"""
 
 import numpy as np
 import pytest
 
 import mgtdispatch.shortest_path as shortest_path
+import mgtdispatch.solvers as solvers
 from mgtdispatch import (
     DemandProfile,
     EdgeCosts,
+    PathResult,
     Transition,
     TurbineModel,
     bias_spike_costs,
@@ -104,6 +111,12 @@ def _two_arm_graph():
     return build_graph(m, 2, initial="a")
 
 
+def _tiebroken(g, costs, alpha: float) -> PathResult:
+    """The path of a one-budget sweep: min bias, then min max spike, then node order."""
+    best, _ = solvers._sweep(g, costs, np.array([alpha]))
+    return best[1] if best else PathResult(False, (), (), INF, INF)
+
+
 def test_restricted_hand_case():
     g = _two_arm_graph()
     w_bias = np.full((2, 4), INF)
@@ -114,9 +127,13 @@ def test_restricted_hand_case():
     w_spike[0, 1] = 1.0
     costs = EdgeCosts(w_bias, w_spike)
 
-    # equal bias: the smaller spike must win the tie even though the b-arm
-    # comes first lexicographically
+    # equal bias: one pass takes the b-arm, which comes first
+    # lexicographically, and the sweep takes the c-arm's smaller spike
     res = shortest_path_restricted(g, costs, 3.0)
+    assert res.feasible and res.total == 5.0
+    assert res.aux_max == 3.0
+    assert res.nodes == ((0, "a"), (1, "b"))
+    res = _tiebroken(g, costs, 3.0)
     assert res.feasible and res.total == 5.0
     assert res.aux_max == 1.0
     assert res.nodes == ((0, "a"), (1, "c"))
@@ -134,7 +151,7 @@ def test_restricted_hand_case():
 
 
 def _check_restricted(rng, edge_costs, budget) -> tuple[bool, bool]:
-    """Compare one restricted solve with enumeration; return (checked, tied).
+    """Compare one one-budget sweep with enumeration; return (checked, tied).
 
     edge_costs(rng) draws one edge's (bias, spike) pair, budget(rng) the
     alpha. The path must reach the optimal (total, max spike) pair and be
@@ -149,7 +166,7 @@ def _check_restricted(rng, edge_costs, budget) -> tuple[bool, bool]:
     for e in g.edges():
         w_bias[e.time, e.template], w_spike[e.time, e.template] = edge_costs(rng)
     alpha = budget(rng)
-    res = shortest_path_restricted(g, EdgeCosts(w_bias, w_spike), alpha)
+    res = _tiebroken(g, EdgeCosts(w_bias, w_spike), alpha)
 
     init = None if inst["initial"] == "any" else [inst["initial"]]
     fin = None if inst["final"] == "any" else [inst["final"]]
@@ -256,7 +273,7 @@ def _enumerated_optimum(g, w, spike, alpha):
     """(total, max spike, nodes) of the first enumerated path with the best (total, max spike).
 
     Enumeration runs in the walk's tie-break order, so that path is the one
-    the kernels must return. None when no path stays within alpha.
+    the plain kernel and a one-budget sweep must return. None when no path stays within alpha.
     """
     best = None
     for start, edges in enumerate_paths(g):
@@ -285,8 +302,8 @@ def _skewed_model(rng):
 
 def test_kernels_match_enumeration_out_of_tail_order():
     # templates listed out of tail order, and out-degrees from 1 to 12, must
-    # not change a path: both kernels against enumeration, and a shuffled
-    # copy of each model against the original
+    # not change a path: the plain kernel and a one-budget sweep against
+    # enumeration, and a shuffled copy of each model against the original
     n_feasible = 0
     for seed in range(60):
         rng = np.random.default_rng(seed)
@@ -307,7 +324,7 @@ def test_kernels_match_enumeration_out_of_tail_order():
                 assert np.bincount(g.tail).max() == 12
             wc, sc = w[:, cols], spike[:, cols]
             runs = ((shortest_path_dag(g, wc), np.zeros(shape), INF),
-                    (shortest_path_restricted(g, EdgeCosts(wc, sc), alpha), sc, alpha))
+                    (_tiebroken(g, EdgeCosts(wc, sc), alpha), sc, alpha))
             for res, sp, a in runs:
                 want = _enumerated_optimum(g, wc, sp, a)
                 if want is None:
@@ -347,7 +364,7 @@ def _drawn_costs(rng, bias, spike):
 
 
 def _kernel_cases(rng):
-    """(family, graph, EdgeCosts) on which the restricted kernel must match its two-pass oracle."""
+    """(family, graph, EdgeCosts) on which a one-budget sweep must match the two-pass oracle."""
     for _ in range(40):
         inst = random_instance(rng, monotone=True)
         g = build_graph(inst["model"], inst["horizon"], initial=inst["initial"], final=inst["final"])
@@ -390,7 +407,7 @@ def test_restricted_matches_two_pass_oracle(monkeypatch):
         n = seen.setdefault(family, [0, 0, 0])
         for alpha in budgets.tolist():
             passes.append(0)
-            got = shortest_path_restricted(g, costs, alpha)
+            got = _tiebroken(g, costs, alpha)
             want = two_pass_restricted(g, costs, alpha)
             if got.feasible and got.aux_max < want.aux_max:
                 assert got.total == want.total, (family, alpha)
@@ -408,9 +425,10 @@ def test_restricted_matches_two_pass_oracle(monkeypatch):
 
 def test_restricted_path_is_the_solve_at_every_budget_down_to_its_max_spike():
     # a solve at alpha whose path has max spike S returns that path, bit for
-    # bit, at S and at every exact threshold in [S, alpha]: S is the smallest
-    # budget that keeps the bias, so each of those solves ends at the same
-    # path. The budget sweep keeps that path for its winning threshold.
+    # bit, at S and at every exact threshold in [S, alpha]: the path stays
+    # feasible there, fewer edges never lower its suffix values, and a slot
+    # the walk passed over only gets dearer. The budget sweep keeps that path
+    # for its winning threshold and reuses a tie probe's path one level down.
     rng = np.random.default_rng(67)
     seen = {}
     for family, g, costs in _kernel_cases(rng):

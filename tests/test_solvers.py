@@ -80,8 +80,9 @@ def test_additive_grid_controls(smoke):
     assert res.thresholds_candidates == 30
     assert res.thresholds_evaluated <= res.thresholds_candidates
     assert res.worst_case_cost == 22.4
+    # one budget, at the top spike; the tie probe below the path's spike is the second solve
     res = solve_mixed_additive(g, mset, tariff, grid_n=1)
-    assert res.thresholds_evaluated == 1
+    assert res.thresholds_evaluated == 2
     res = solve_mixed_additive(g, mset, tariff, epsilon=0.5)
     assert res.worst_case_cost <= 22.4 + 0.5 + 1e-12
 
@@ -413,6 +414,13 @@ def test_set_pricing_checks_tariff_rules_on_priced_steps_only(smoke):
                 solve(g, uset, tariff([0, 0, 0, 2, 0]))
         else:
             solve(g, uset, tariff([0, 0, 0, 2, 0]))  # the box reduction needs no convexity
+    # forbidden selling binds the lower corner only where a priced step forbids it
+    sells = PiecewiseLinearCost(0.5, (0.0,), (0.5,))
+    for index, binds in (([1, 1, 1, 1, 0], False), ([1, 1, 1, 0, 1], True)):
+        mixed = Tariff(15.0, 5, (ok, sells), np.array(index, dtype=np.int32), heat, np.zeros(5, dtype=np.int32))
+        for uset in (bset, mset):
+            lower = _set_corners(g, uset, mixed)
+            assert lower is None if not binds else repr(lower) == repr(uset.lower())
 
 
 def test_box_worst_case_refuses_falling_costs(smoke):

@@ -195,6 +195,17 @@ def test_tariff_roundtrip(tmp_path):
         assert math.isclose(back.heat_fn(step).value(5.0), t.heat_fn(step).value(5.0))
 
 
+def test_zero_step_tariff_roundtrip(tmp_path):
+    # no step reads a heat index, so the one heat function is saved as is
+    t = flat_tariff(0, 15.0, 0.5, None, 0.1)
+    path = tmp_path / "tariff.json"
+    save_tariff(t, str(path))
+    back = load_tariff(str(path))
+    assert back.horizon_steps == 0 and back.step_seconds == 15.0
+    assert tariff_to_dict(back) == tariff_to_dict(t)
+    assert back.heat_functions[0].value(5.0) == t.heat_functions[0].value(5.0)
+
+
 def test_tariff_dict_validation():
     base = {"step_seconds": 900.0, "horizon_steps": 4,
             "power": [{"from_step": 0, "to_step": 4, "buy_per_kwh": 0.3, "sell_per_kwh": "forbidden"}],

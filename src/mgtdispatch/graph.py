@@ -16,15 +16,20 @@ reads one contiguous row per layer. A step's utility cost depends only on
 the step and on the template's power and heat output, so a scenario is
 priced once per distinct output level and step, a block of layers at a
 time, and each edge folds its template's entries of those tables over its
-span. A fixed path is priced by the same block evaluators on its own steps
-(_path_steps), so paths, worst cases and schedules have one pricing route;
-tests/oracles.py keeps the per-edge scalar twins as oracles. Edge weights
-and plan worst cases over a set pass one gate, _set_corners, for its
-tariff rules on the priced steps and its lower corner.
+span. The calling thread prices the blocks and a worker thread folds
+them, one block in flight: block i is folded while block i + 1 is priced.
+The last block folds on the caller, so a one-block call starts no thread,
+and everything but the folds' numpy calls, the pricing included, runs on
+the caller. A fixed path is priced by the same block evaluators on its own
+steps (_path_steps), so paths, worst cases and schedules have one pricing
+route; tests/oracles.py keeps the per-edge scalar twins as oracles. Edge
+weights and plan worst cases over a set pass one gate, _set_corners, for
+its tariff rules on the priced steps and its lower corner.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -230,6 +235,16 @@ def _fold_layers(graph: DispatchGraph, level_values, fold, seed: np.ndarray, abs
     Layers go in blocks of about _BLOCK_CELLS output cells, and each block
     prices only the steps the blocks before it did not, so everything but
     the output stays a few MB.
+
+    The calling thread prices and a worker thread folds: while a _Fold
+    thread folds block i into the output (_fold_block), the caller prices
+    block i + 1, and it joins that thread before it hands off the next
+    block, so at most one block is in flight. The last block folds on the
+    caller, so a one-block call starts no thread. level_values, and every
+    function it calls, runs on the calling thread, so a tracer that keeps one
+    span stack still nests its spans; the worker runs numpy calls only. Each
+    output cell is written once, by the same ops as on one thread, and an
+    error on either side reaches the caller once no fold is running.
     """
     n = graph.n_priced_steps
     # a template longer than the n priced steps has no edge, so it sets no look-ahead
@@ -241,28 +256,66 @@ def _fold_layers(graph: DispatchGraph, level_values, fold, seed: np.ndarray, abs
     # the tables hold steps [t0, priced) at the top of each block
     p_tab, h_tab = np.empty((0, len(p_lvl))), np.empty((0, len(h_lvl)))
     priced = 0
-    for t0 in range(0, n, rows):
-        t1 = min(t0 + rows, n)
-        end = min(t1 + span - 1, n)
-        if end > priced:
-            p_new, h_new = level_values(priced, end)
-            p_tab, h_tab = np.concatenate((p_tab, p_new)), np.concatenate((h_tab, h_new))
-            priced = end
-        for d, cols, p_of, h_of in graph.duration_groups:
-            # layers t < n - d + 1 hold an edge of this duration
-            live = max(0, min(t1, n - d + 1) - t0)
-            if live:
-                step = np.take(p_tab[:live + d - 1], p_of, axis=1)
-                acc = np.take(h_tab[:live + d - 1], h_of, axis=1)
-                fold(step, acc, out=step)
-                acc = fold(seed[cols], step[:live], out=acc[:live])
-                for shift in range(1, d):
-                    fold(acc, step[shift:shift + live], out=acc)
-                out[t0:t0 + live, cols] = acc
-            if t0 + live < t1:
-                out[t0 + live:t1, cols] = absent
-        p_tab, h_tab = p_tab[t1 - t0:], h_tab[t1 - t0:]
+    folding = None  # the worker folding the previous block
+    try:
+        for t0 in range(0, n, rows):
+            t1 = min(t0 + rows, n)
+            end = min(t1 + span - 1, n)
+            if end > priced:
+                p_new, h_new = level_values(priced, end)
+                p_tab, h_tab = np.concatenate((p_tab, p_new)), np.concatenate((h_tab, h_new))
+                priced = end
+            block = (graph, p_tab, h_tab, fold, seed, absent, out, t0, t1)
+            if folding is not None:
+                folding.finish()
+            if t1 < n:
+                folding = _Fold(block)
+            else:
+                _fold_block(*block)
+            p_tab, h_tab = p_tab[t1 - t0:], h_tab[t1 - t0:]
+    finally:
+        if folding is not None:
+            folding.join()
     return out
+
+
+def _fold_block(graph: DispatchGraph, p_tab: np.ndarray, h_tab: np.ndarray, fold, seed: np.ndarray,
+                absent: float, out: np.ndarray, t0: int, t1: int) -> None:
+    """Write layers [t0, t1) of _fold_layers' output from level tables whose row 0 is step t0."""
+    n = graph.n_priced_steps
+    for d, cols, p_of, h_of in graph.duration_groups:
+        # layers t < n - d + 1 hold an edge of this duration
+        live = max(0, min(t1, n - d + 1) - t0)
+        if live:
+            step = np.take(p_tab[:live + d - 1], p_of, axis=1)
+            acc = np.take(h_tab[:live + d - 1], h_of, axis=1)
+            fold(step, acc, out=step)
+            acc = fold(seed[cols], step[:live], out=acc[:live])
+            for shift in range(1, d):
+                fold(acc, step[shift:shift + live], out=acc)
+            out[t0:t0 + live, cols] = acc
+        if t0 + live < t1:
+            out[t0 + live:t1, cols] = absent
+
+
+class _Fold(threading.Thread):
+    """_fold_block(*block) on a thread of its own; finish() joins it and raises the fold's error."""
+
+    def __init__(self, block: tuple):
+        super().__init__()
+        self.block, self.error = block, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            _fold_block(*self.block)
+        except BaseException as exc:
+            self.error = exc
+
+    def finish(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
 
 
 def scenario_weights(graph: DispatchGraph, demand, tariff: Tariff) -> np.ndarray:

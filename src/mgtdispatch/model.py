@@ -71,23 +71,27 @@ def validate_model(model: TurbineModel) -> list[str]:
     known = set(model.states)
     seen_pairs: set[tuple[str, str]] = set()
     for i, tr in enumerate(model.transitions):
-        where = f"transition[{i}] {tr.from_state}/{tr.control}"
+        found = len(problems)
         if tr.from_state not in known:
-            problems.append(f"{where}: unknown from_state {tr.from_state!r}")
+            problems.append(f"unknown from_state {tr.from_state!r}")
         if tr.to_state not in known:
-            problems.append(f"{where}: unknown to_state {tr.to_state!r}")
+            problems.append(f"unknown to_state {tr.to_state!r}")
         if not (isinstance(tr.duration_steps, int) and tr.duration_steps >= 1):
-            problems.append(f"{where}: duration_steps must be an integer >= 1, got {tr.duration_steps!r}")
+            problems.append(f"duration_steps must be an integer >= 1, got {tr.duration_steps!r}")
         if not (math.isfinite(tr.power_kw) and tr.power_kw >= 0):
-            problems.append(f"{where}: power_kw must be finite and >= 0, got {tr.power_kw!r}")
+            problems.append(f"power_kw must be finite and >= 0, got {tr.power_kw!r}")
         if not (math.isfinite(tr.heat_kw) and tr.heat_kw >= 0):
-            problems.append(f"{where}: heat_kw must be finite and >= 0, got {tr.heat_kw!r}")
+            problems.append(f"heat_kw must be finite and >= 0, got {tr.heat_kw!r}")
         if not math.isfinite(tr.op_cost):
-            problems.append(f"{where}: op_cost must be finite, got {tr.op_cost!r}")
+            problems.append(f"op_cost must be finite, got {tr.op_cost!r}")
         key = (tr.from_state, tr.control)
         if key in seen_pairs:
-            problems.append(f"{where}: duplicate control for this state")
+            problems.append("duplicate control for this state")
         seen_pairs.add(key)
+        # the location prefix is built only for a transition with a problem
+        if len(problems) > found:
+            where = f"transition[{i}] {tr.from_state}/{tr.control}"
+            problems[found:] = [f"{where}: {p}" for p in problems[found:]]
 
     covered = {tr.from_state for tr in model.transitions}
     for s in model.states:

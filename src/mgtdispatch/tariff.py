@@ -69,10 +69,11 @@ class PiecewiseLinearCost:
         bps, sl = self.breakpoints, self.slopes
         w = np.empty_like(total)
         for i, s in enumerate(sl):
-            hi = bps[i + 1] if i + 1 < len(bps) else INF
-            np.minimum(x, hi, out=w)
-            w -= bps[i]
-            np.maximum(w, 0.0, out=w)
+            # min(x, +inf) on the last segment and x - 0.0 change no bit, so they are skipped
+            seg = x if i + 1 == len(bps) else np.minimum(x, bps[i + 1], out=w)
+            if bps[i] != 0.0:
+                seg = np.subtract(seg, bps[i], out=w)
+            np.maximum(seg, 0.0, out=w)
             w *= s
             total += w
         if self.neg_slope is None:

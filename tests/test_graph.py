@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -291,6 +294,138 @@ def test_layer_blocks_split_edge_spans(monkeypatch):
         n_dead += _check_bias_spike(g, mixed_set(fc, 0.5, 2.0), tariff)
     assert n_inf > 0 and n_dead > 0
 
+
+
+def _spy_folds(monkeypatch, delay: float = 0.0) -> list:
+    """Record ("in"/"out", thread id) around every _fold_block; a worker's fold first sleeps `delay`."""
+    events, caller, fold_block = [], threading.get_ident(), graph_module._fold_block
+
+    def spy(*args):
+        me = threading.get_ident()
+        events.append(("in", me))
+        if me != caller:
+            time.sleep(delay)
+        try:
+            fold_block(*args)
+        finally:
+            events.append(("out", me))
+
+    monkeypatch.setattr(graph_module, "_fold_block", spy)
+    return events
+
+
+def test_pricing_stays_on_the_calling_thread(monkeypatch):
+    # blocks of 3 layers: the worker folds 13 of each call's 14 blocks, and
+    # every cost block (so every function perfbench traces) is priced on the
+    # caller, with the same values as the scalar oracles
+    g, fc, tariffs = synth_plant(41)
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 3 * g.n_templates + 1)
+    pricers = set()
+    for name in ("power_cost_block", "heat_cost_block"):
+        def recorded(self, x, t0, _block=getattr(Tariff, name)):
+            pricers.add(threading.get_ident())
+            return _block(self, x, t0)
+
+        monkeypatch.setattr(Tariff, name, recorded)
+    events = _spy_folds(monkeypatch)
+    n_inf = n_dead = 0
+    for tariff in tariffs.values():
+        n_inf += _check_weights(g, DemandProfile(fc.mu_power, fc.mu_heat), tariff)
+        n_dead += _check_bias_spike(g, mixed_set(fc, 0.5, 2.0), tariff)
+    assert n_inf > 0 and n_dead > 0
+    assert pricers == {threading.get_ident()}
+    folders = [who for what, who in events if what == "in"]
+    # 2 tariffs x 3 folds (weights, then bias and spike), each of 14 blocks
+    assert len(folders) == 2 * 3 * 14
+    assert sum(who != threading.get_ident() for who in folders) == 2 * 3 * 13
+
+
+def test_one_block_call_starts_no_thread(monkeypatch, tiny_graph, tiny_tariff):
+    # both folds of a small day are one block each, folded on the caller
+    events = _spy_folds(monkeypatch)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
+    fc = Forecast([14.0] * 4, [10.0] * 4, [2.0] * 4, [2.0] * 4)
+    bias_spike_costs(tiny_graph, mixed_set(fc, 0.5, 2.0), tiny_tariff)
+    assert events == [("in", threading.get_ident()), ("out", threading.get_ident())] * 2
+
+
+def test_concurrent_callers_get_the_one_thread_weights(monkeypatch):
+    # three callers on threads of their own, each with its fold worker, and
+    # a 1 us switch interval: every caller's arrays equal the one-block ones
+    # bit for bit, so no fold wrote into another's output or lost a write
+    g, fc, tariffs = synth_plant(41)
+    d, mset, tariff = DemandProfile(fc.mu_power, fc.mu_heat), mixed_set(fc, 0.5, 2.0), tariffs["forbidden"]
+    whole = scenario_weights(g, d, tariff), bias_spike_costs(g, mset, tariff)
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 3 * g.n_templates + 1)
+    got = {}
+
+    def caller(i):
+        got[i] = [(scenario_weights(g, d, tariff), bias_spike_costs(g, mset, tariff)) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(got) == [0, 1, 2]
+    for w, costs in itertools.chain(*got.values()):
+        assert w.tobytes() == whole[0].tobytes()
+        assert costs.w_bias.tobytes() == whole[1].w_bias.tobytes()
+        assert costs.w_spike.tobytes() == whole[1].w_spike.tobytes()
+
+
+def _folds_settled(events) -> bool:
+    """Every fold that started has ended."""
+    return 2 * sum(what == "in" for what, _ in events) == len(events)
+
+
+def test_error_while_pricing_leaves_no_fold_running(monkeypatch):
+    # the spike budget overflows on the last 5 of 40 steps only. With blocks
+    # of 3 layers and a 24-step look-ahead, the spike fold's fifth block is
+    # the first to price step 35, so it raises after the worker took the
+    # first four (and 13 of the weights' 14). Each worker fold sleeps, so a
+    # call that returned without waiting for its block in flight would
+    # leave a fold running.
+    g, fc, tariffs = synth_plant(41)
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 3 * g.n_templates + 1)
+    events = _spy_folds(monkeypatch, delay=0.02)
+    mset = mixed_set(fc, 0.5, 2.0)
+    delta_p = mset.delta_p.copy()
+    delta_p[-5:] = 5e-324
+    with pytest.raises(ValueError, match="spike budget mu1 = 2.0 overflows"):
+        bias_spike_costs(g, dataclasses.replace(mset, delta_p=delta_p), tariffs[0.05])
+    assert _folds_settled(events)
+    assert sum(what == "in" and who != threading.get_ident() for what, who in events) == 13 + 4
+
+
+def test_error_while_folding_reaches_the_caller(monkeypatch):
+    # a fold that fails on the worker raises the same exception on the caller
+    g, fc, tariffs = synth_plant(41)
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 3 * g.n_templates + 1)
+    events = _spy_folds(monkeypatch, delay=0.02)
+    caller, boom = threading.get_ident(), RuntimeError("fold failed")
+    (p_lvl, _), (h_lvl, _) = g.output_levels
+
+    def fold(a, b, out):
+        if threading.get_ident() != caller:
+            raise boom
+        return np.add(a, b, out=out)
+
+    def zeros(a, b):
+        return np.zeros((b - a, len(p_lvl))), np.zeros((b - a, len(h_lvl)))
+
+    with pytest.raises(RuntimeError) as caught:
+        graph_module._fold_layers(g, zeros, fold, np.zeros(g.n_templates), INF)
+    assert caught.value is boom
+    assert _folds_settled(events)
+    assert [who for what, who in events if what == "in"] == [events[0][1]]
+    assert events[0][1] != caller
 
 @pytest.fixture(scope="module")
 def bench_plant_361():

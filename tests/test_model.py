@@ -55,6 +55,12 @@ def test_validate_flags_problems():
         _broken(("a", "b"), [t])))
     assert any("op_cost" in p for p in validate_model(
         _broken(("a",), [Transition("a", "keep", "a", 1, 0.0, 0.0, float("nan"))])))
+    # whole lines: each names its transition, in the order the checks run
+    assert validate_model(_broken(("a",), [t, t, Transition("a", "go", "b", 0, 0.0, 0.0, 0.0)])) == [
+        "transition[1] a/keep: duplicate control for this state",
+        "transition[2] a/go: unknown to_state 'b'",
+        "transition[2] a/go: duration_steps must be an integer >= 1, got 0",
+    ]
 
 
 def test_synth_state_counts():
